@@ -15,11 +15,12 @@ alone.  Full-mode gates: **p99 cut >= 2x, p50 within 5%, and <= 10%
 extra transport attempts** (a hedge fires only for the minority of
 starts routed to the slow shard; every other operation is single-shot).
 
-**Asyncio recovery**: the chaos soak runs in ``--asyncio`` mode with a
-3-shard cluster and periodic node kills; the invariant checker
-(disclosure safety, terminality, admission reconciliation) must come
-back clean and at least one mid-negotiation session must be recovered
-via journal failover.
+**Asyncio recovery**: the chaos soak runs in ``--asyncio`` mode —
+concurrent waves of slots on clock branches — with a 3-shard cluster
+(hedged, health-routed, one shard slowed) and periodic node kills; the
+invariant checker (disclosure safety, terminality, admission
+reconciliation, hedge accounting) must come back clean and at least
+one mid-negotiation session must be recovered via journal failover.
 
 ``BENCH_QUICK=1`` shrinks the workload for CI smoke runs; sections are
 stamped ``"quick": true`` and the gates are skipped outright.

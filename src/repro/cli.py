@@ -299,21 +299,26 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     from repro.scenario.runner import WorkloadRunner
 
-    wal_dir = args.wal_dir
-    if args.shards > 0 and wal_dir:
+    runner = WorkloadRunner()
+    wal_dir = args.wal_dir if args.shards > 0 else None
+    try:
+        config = runner.config(
+            "soak",
+            seed=args.seed,
+            negotiations=args.negotiations,
+            roles=args.roles,
+            cluster_shards=args.shards,
+            node_kill_every=args.kill_every,
+            retract_every=args.retract_every,
+            wal_dir=wal_dir,
+            audit_log_path=args.audit_log,
+            asyncio_mode=args.asyncio_mode,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))  # usage message, exit 2
+    if wal_dir:
         os.makedirs(wal_dir, exist_ok=True)
-    report = WorkloadRunner().run(
-        "soak",
-        seed=args.seed,
-        negotiations=args.negotiations,
-        roles=args.roles,
-        cluster_shards=args.shards,
-        node_kill_every=args.kill_every,
-        retract_every=args.retract_every,
-        wal_dir=wal_dir if args.shards > 0 else None,
-        audit_log_path=args.audit_log,
-        asyncio_mode=args.asyncio_mode,
-    )
+    report = runner.run(config)
     print(report.summary())
     for violation in report.violations:
         print(f"  VIOLATION [{violation.invariant}] {violation.detail}",
@@ -623,11 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "and verify it as an invariant")
     soak_parser.add_argument("--asyncio", dest="asyncio_mode",
                              action="store_true",
-                             help="run the asyncio soak: concurrent "
-                             "TNClient.anegotiate lanes, hedged starts, and "
-                             "health-aware shard routing (see "
-                             "repro.hardening.aio_soak)")
-    soak_parser.set_defaults(func=_cmd_soak)
+                             help="run the same storm as concurrent waves "
+                             "(one slot per role) of asyncio tasks, each "
+                             "on its own simulated-clock branch")
+    soak_parser.set_defaults(func=_cmd_soak, parser=soak_parser)
 
     scenarios_parser = sub.add_parser(
         "scenarios",

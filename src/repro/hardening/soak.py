@@ -38,22 +38,43 @@ With ``cluster_shards > 0`` the soak deploys a
 :class:`~repro.cluster.ShardedTNService` instead of a single service
 and interleaves kill/restart drills — phase-split negotiations whose
 serving shard is killed (periodically with a torn WAL tail) between
-phases, forcing failover adoption from the durable journal.  Two more
-invariants then apply:
+phases, forcing failover adoption from the durable journal.  Every
+cluster of two or more shards also routes with hedged
+``StartNegotiation`` and health-aware ejection, and a deliberately
+slowed shard (``FaultKind.SLOW`` with a strike ``limit``) is ejected,
+probed while still slow, and re-admitted once the fault is spent.
+Three more invariants then apply:
 
 - **terminal durability** — zero sessions whose journal reached a
   terminal checkpoint are lost (or regress to non-terminal) across
   every crash, torn write, failover, and restart;
+- **hedge accounting** — no more hedge wins than hedges fired;
 - **audit chain** — when ``audit_log_path`` is set, the sealed
   hash-chained event log verifies end to end
   (:func:`repro.obs.audit.verify_audit_log`).
 
-Everything is seeded; the same :class:`SoakConfig` always produces the
-same :class:`SoakReport`.
+The storm is one sequence of slots — a negotiation (through
+:meth:`~repro.services.tn_client.TNClient.anegotiate`), then whichever
+of burst, reap, kill drill and retraction drill fall due — written as
+coroutines.  ``asyncio_mode`` only picks how they run: off, each slot
+is awaited in turn on the base clock; on, waves of one slot per lane
+run concurrently, each task on its own clock branch, so kill drills and
+retractions land while sibling negotiations are mid-flight.  Each wave
+starts at the previous wave's horizon (its latest branch), so
+``elapsed_sim_ms`` is the storm's critical path.
+
+Everything is seeded, and drill lanes are drawn before a wave runs, so
+a single-service :class:`SoakConfig` always produces the same
+:class:`SoakReport`.  In cluster mode that holds for a fresh process
+only: ``StartNegotiation`` request ids come from a process-global
+counter and decide shard placement, so a second run in the same
+process routes — and storms — differently.
 """
 
 from __future__ import annotations
 
+import asyncio
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -105,10 +126,27 @@ _ADVERSARIAL_KINDS = (
     FaultKind.REPLAYED, FaultKind.REORDERED, FaultKind.BYZANTINE,
 )
 
+#: Simulated duration of one injected SLOW fault — far above the
+#: health policy's ``slow_after_ms`` so every slowed call is a strike.
+_SLOW_MS = 4000.0
+#: Health knobs of the cluster router: eject after 3 consecutive
+#: strikes, responses over 2 s count as strikes, probe every 1 s.
+_SLOW_AFTER_MS = 2000.0
+_PROBE_INTERVAL_MS = 1000.0
+#: Strike budget of the slow-shard drill: enough to eject the shard
+#: (threshold 3) and keep a couple of probes failing before the fault
+#: is spent and a probe re-admits it.
+_SLOW_STRIKES = 6
+
 
 @dataclass(frozen=True, kw_only=True)
 class SoakConfig:
-    """Knobs of one soak run.  Everything derives from ``seed``."""
+    """Knobs of one soak run.  Everything derives from ``seed``.
+
+    Same config, same report — in cluster mode only across fresh
+    processes (see the module docstring).  Invalid combinations raise
+    :class:`ValueError` on construction.
+    """
 
     seed: int = 7
     #: Legitimate negotiations to drive (the acceptance bar is 2000).
@@ -158,14 +196,9 @@ class SoakConfig:
     torn_write_every_kill: int = 3
     #: Directory for per-shard WAL files (None journals in memory).
     wal_dir: Optional[str] = None
-    #: Run the asyncio soak instead of the classic sync one: lanes of
-    #: :meth:`~repro.services.tn_client.TNClient.anegotiate` tasks drive
-    #: a :class:`~repro.cluster.ShardedTNService` (hedged starts +
-    #: health-aware routing) through ``ResilientTransport`` and the
-    #: fault injector, with kill drills fired *while* sibling
-    #: negotiations are mid-flight on the same shards.  See
-    #: :mod:`repro.hardening.aio_soak` for what carries over and what
-    #: (fuzz corpus, retraction drills) stays sync-only.
+    #: Run each wave of one slot per lane as concurrent asyncio tasks,
+    #: each on its own clock branch, instead of awaiting the slots one
+    #: at a time on the base clock.
     asyncio_mode: bool = False
     #: Path of a hash-chained audit log.  When set, the soak enables
     #: the observability runtime with an
@@ -174,6 +207,25 @@ class SoakConfig:
     #: final epoch at the end, and verifies the whole chain as an
     #: invariant.
     audit_log_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.roles < 1:
+            raise ValueError(f"roles must be >= 1, got {self.roles}")
+        for name in (
+            "negotiations", "burst_every", "burst_size", "byzantine_every",
+            "retract_every", "reap_every", "cluster_shards",
+            "node_kill_every", "torn_write_every_kill",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        if self.node_kill_every > 0 and self.cluster_shards < 2:
+            raise ValueError(
+                f"node_kill_every={self.node_kill_every} needs a cluster "
+                "to kill shards in: set cluster_shards >= 2 (got "
+                f"{self.cluster_shards})"
+            )
 
 
 @dataclass(frozen=True)
@@ -226,15 +278,16 @@ class SoakReport:
     probe_anomalies: list[str] = field(default_factory=list)
     fuzz_probes: int = 0
     fuzz_failures: list[str] = field(default_factory=list)
-    #: Cluster-mode counters (all zero in the single-service soak).
+    #: Cluster-mode recovery counters (all zero in the single-service
+    #: soak).
     node_kills: int = 0
     node_restarts: int = 0
     failovers: int = 0
     sessions_recovered: int = 0
     wal_records: int = 0
     torn_records_discarded: int = 0
-    #: Asyncio-soak counters (all zero in the classic sync soak):
-    #: hedged-request outcomes and health-router ejection traffic.
+    #: Cluster-mode routing counters (all zero with fewer than two
+    #: shards): hedged-start outcomes and health-router ejection traffic.
     hedges_fired: int = 0
     hedges_won: int = 0
     hedges_cancelled: int = 0
@@ -511,11 +564,10 @@ def _run_fuzz_corpus(
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     """Run the chaos soak and return its invariant report."""
-    config = config or SoakConfig()
-    if config.asyncio_mode:
-        from repro.hardening.aio_soak import run_aio_soak
+    return asyncio.run(_soak(config or SoakConfig()))
 
-        return run_aio_soak(config)
+
+async def _soak(config: SoakConfig) -> SoakReport:
     # Imported here: the scenario/service layers import
     # ``repro.hardening.config`` at module load, so importing them at
     # this module's top level would close an import cycle.
@@ -549,41 +601,59 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     ))
     edition = fixture.initiator_edition
     edition.create_vo(fixture.contract)
-    cluster = None
-    if config.cluster_shards > 0:
-        # Deploy the sharded cluster at the same URL the single
-        # service would claim: the whole client stack (resilience,
-        # fault injection, fuzz corpus) is reused unchanged, and the
-        # storm additionally runs kill/restart drills against it.
-        from repro.cluster import ShardedTNService
-
-        service = cluster = ShardedTNService(
-            edition.initiator.agent,
-            fixture.transport,
-            url="urn:vo:tn",
-            shards=config.cluster_shards,
-            cache=SequenceCache(),
-            hardening=config.hardening,
-            wal_dir=config.wal_dir,
-        )
-    else:
-        service = edition.enable_trust_negotiation(
-            cache=SequenceCache(), hardening=config.hardening
-        )
-    clock = fixture.transport.base_clock
-    started_ms = clock.elapsed_ms
-
-    plan = FaultPlan(seed=config.seed, timeout_wait_ms=250.0)
-    for kind in _ADVERSARIAL_KINDS:
-        plan.randomly(kind, config.adversarial_probability, url=service.url)
-    for kind in _NETWORK_KINDS:
-        plan.randomly(kind, config.network_probability, url=service.url)
-    injector = FaultInjector(inner=fixture.transport, plan=plan)
+    plan = FaultPlan(
+        seed=config.seed, timeout_wait_ms=250.0, slow_ms=_SLOW_MS
+    )
+    sim = fixture.transport
+    injector = FaultInjector(inner=sim, plan=plan)
     resilient = ResilientTransport(
         inner=injector,
         retry=RetryPolicy(jitter_seed=config.seed),
         deadline_ms=config.deadline_ms,
     )
+    cluster = None
+    multi = config.cluster_shards > 1
+    if config.cluster_shards > 0:
+        # Deploy the sharded cluster at the same URL the single
+        # service would claim.  It forwards shard-bound traffic through
+        # the *same* resilient transport, so router-to-shard hops get
+        # retries and the injector can target one shard's URL (the
+        # slow-shard drill); the storm additionally runs kill/restart
+        # drills against it.
+        from repro.cluster import HealthPolicy, HedgePolicy, ShardedTNService
+
+        service = cluster = ShardedTNService(
+            edition.initiator.agent,
+            resilient,
+            url="urn:vo:tn",
+            shards=config.cluster_shards,
+            cache=SequenceCache(),
+            hardening=config.hardening,
+            wal_dir=config.wal_dir,
+            hedge=HedgePolicy() if multi else None,
+            health=HealthPolicy(
+                slow_after_ms=_SLOW_AFTER_MS,
+                probe_interval_ms=_PROBE_INTERVAL_MS,
+            ) if multi else None,
+        )
+    else:
+        service = edition.enable_trust_negotiation(
+            cache=SequenceCache(), hardening=config.hardening
+        )
+    clock = sim.base_clock
+    started_ms = clock.elapsed_ms
+
+    for kind in _ADVERSARIAL_KINDS:
+        plan.randomly(kind, config.adversarial_probability, url=service.url)
+    for kind in _NETWORK_KINDS:
+        plan.randomly(kind, config.network_probability, url=service.url)
+    if multi:
+        # The slow-shard drill: shard 0 answers, but 4 s late, until
+        # the strike budget is spent — ejection, failed probes, then
+        # re-admission, all while hedges cover the tail.
+        plan.always(
+            FaultKind.SLOW, url=cluster.nodes()[0].url, limit=_SLOW_STRIKES
+        )
 
     roles = list(fixture.contract.roles)
     lanes = []  # (client, agent, resource) per role
@@ -607,9 +677,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     at = fixture.contract.created_at
 
     # -- fuzz corpus first, against the unloaded service ----------------------
-    raw_call = lambda op, payload: fixture.transport.call(  # noqa: E731
-        service.url, op, payload
-    )
+    raw_call = lambda op, payload: sim.call(service.url, op, payload)  # noqa: E731
     fuzz_outcomes = _run_fuzz_corpus(
         raw_call, config, lanes[0][1], lanes[0][2], at
     )
@@ -622,45 +690,131 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     # -- the storm ------------------------------------------------------------
     results = []
 
-    def drive(client, resource: str) -> Optional[object]:
+    def record_error(exc: ReproError) -> None:
+        code = getattr(exc, "error_code", None)
+        _record(
+            report.client_errors,
+            code.value if code else type(exc).__name__,
+        )
+
+    def record_result(result) -> None:
+        if result.success:
+            report.successes += 1
+        else:
+            reason = (
+                result.failure_reason.value
+                if result.failure_reason else "unknown"
+            )
+            _record(report.failures, reason)
+        results.append(result)
+
+    async def call(
+        operation: str, payload: dict, transport=resilient
+    ) -> dict:
+        """One service call after yielding to the event loop, so sibling
+        tasks interleave between protocol steps."""
+        await asyncio.sleep(0)
+        return transport.call(service.url, operation, payload)
+
+    async def drive(client, resource: str) -> Optional[object]:
         """One negotiation; returns its result or None if it errored."""
         try:
-            return client.negotiate(resource, at=at)
+            return await client.anegotiate(resource, at=at)
         except CircuitOpenError:
             # The breaker opened under a fault streak: wait out the
             # reset window in simulated time and give the endpoint its
-            # half-open probe instead of fast-failing the rest of the
-            # soak.
+            # (single) half-open probe instead of fast-failing the rest
+            # of the soak.
             report.breaker_pauses += 1
-            clock.advance(
+            resilient.clock.advance(
                 resilient.breaker_policy.reset_timeout_ms + 1.0
             )
             try:
-                return client.negotiate(resource, at=at)
+                return await client.anegotiate(resource, at=at)
             except ReproError as exc:
-                code = getattr(exc, "error_code", None)
-                _record(
-                    report.client_errors,
-                    code.value if code else type(exc).__name__,
-                )
+                record_error(exc)
                 return None
         except ReproError as exc:
-            code = getattr(exc, "error_code", None)
-            _record(
-                report.client_errors,
-                code.value if code else type(exc).__name__,
-            )
+            record_error(exc)
             return None
 
-    def kill_drill(index: int, lane) -> None:
+    async def negotiation(index: int) -> None:
+        client, agent, resource = lanes[index % len(lanes)]
+        byzantine = (
+            config.byzantine_every > 0
+            and (index + 1) % config.byzantine_every == 0
+        )
+        if byzantine:
+            # The impostor presents the victim's name and stolen
+            # credential profile but signs ownership proofs with its
+            # own key: every disclosure it attempts must be rejected.
+            report.byzantine_attempts += 1
+            client = TNClient(
+                transport=resilient,
+                service_url=service.url,
+                agent=TrustXAgent(
+                    name=agent.name,
+                    profile=agent.profile,
+                    policies=agent.policies,
+                    keypair=KeyPair.generate(512),
+                    validator=agent.validator,
+                    strategy=agent.strategy,
+                ),
+            )
+        try:
+            result = await drive(client, resource)
+        except Exception as exc:  # noqa: BLE001 - the invariant itself
+            report.unhandled.append(
+                f"negotiation {index}: {type(exc).__name__}: {exc}"
+            )
+            return
+        if result is None:
+            return
+        if byzantine:
+            if result.success:
+                report.byzantine_successes += 1
+        else:
+            record_result(result)
+
+    async def burst(index: int, lane) -> None:
+        """A low-priority client floods StartNegotiation without
+        retries; the first two probes carry an already-expired deadline
+        so deadline shedding fires under load too."""
+        report.bursts += 1
+        for probe_index in range(config.burst_size):
+            payload = {
+                "requester": lane[1],
+                "strategy": "standard",
+                "counterpartUrl": "urn:repro:burst",
+                "requestId": f"soak-burst-{index}-{probe_index}",
+                "priority": "identification",
+            }
+            if probe_index < 2:
+                payload["deadlineMs"] = sim.clock.elapsed_ms - 1.0
+            try:
+                await call("StartNegotiation", payload, transport=sim)
+            except OverloadError:
+                report.burst_sheds += 1
+            except DeadlineExpiredError:
+                report.deadline_sheds += 1
+            except ReproError as exc:
+                record_error(exc)
+            except Exception as exc:  # noqa: BLE001
+                report.unhandled.append(
+                    f"burst {index}.{probe_index}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+
+    async def kill_drill(index: int, lane) -> None:
         """A mid-negotiation shard kill: StartNegotiation and
         PolicyExchange land on one shard, that shard dies (every Kth
         drill with its final WAL record torn first), and the client's
         CredentialExchange must be completed by the failover successor
-        from the journalled checkpoint."""
+        from the journalled checkpoint.  In asyncio mode the kill also
+        lands on sibling tasks' in-flight sessions on the victim."""
         _, agent, resource = lane
         try:
-            start = resilient.call(service.url, "StartNegotiation", {
+            start = await call("StartNegotiation", {
                 "requester": agent,
                 "strategy": "standard",
                 "counterpartUrl": f"urn:repro:{agent.name}",
@@ -670,7 +824,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             if not negotiation_id:
                 _record(report.client_errors, "no-negotiation-id")
                 return
-            resilient.call(service.url, "PolicyExchange", {
+            await call("PolicyExchange", {
                 "negotiationId": negotiation_id, "resource": resource,
                 "at": at, "clientSeq": 1,
             })
@@ -688,31 +842,25 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
                     cluster.tear_wal(victim)
                 cluster.kill_node(victim)
             try:
-                exchange = resilient.call(
-                    service.url, "CredentialExchange",
-                    {"negotiationId": negotiation_id, "clientSeq": 2},
-                )
+                exchange = await call("CredentialExchange", {
+                    "negotiationId": negotiation_id, "clientSeq": 2,
+                })
             except ReproError:
                 # The adopted checkpoint may predate PolicyExchange
                 # (torn WAL record): replay the phase against the
                 # successor.  Restored sessions accept the resync, and
                 # the billing flags in the checkpoint keep the replay
                 # idempotent.
-                resilient.call(service.url, "PolicyExchange", {
+                await call("PolicyExchange", {
                     "negotiationId": negotiation_id, "resource": resource,
                     "at": at, "clientSeq": 3,
                 })
-                exchange = resilient.call(
-                    service.url, "CredentialExchange",
-                    {"negotiationId": negotiation_id, "clientSeq": 4},
-                )
+                exchange = await call("CredentialExchange", {
+                    "negotiationId": negotiation_id, "clientSeq": 4,
+                })
             result = exchange.get("result")
         except ReproError as exc:
-            code = getattr(exc, "error_code", None)
-            _record(
-                report.client_errors,
-                code.value if code else type(exc).__name__,
-            )
+            record_error(exc)
             return
         except Exception as exc:  # noqa: BLE001 - the invariant itself
             report.unhandled.append(
@@ -721,18 +869,10 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             return
         if result is None or not hasattr(result, "success"):
             _record(report.client_errors, "no-result")
-        elif result.success:
-            report.successes += 1
-            results.append(result)
         else:
-            reason = (
-                result.failure_reason.value
-                if result.failure_reason else "unknown"
-            )
-            _record(report.failures, reason)
-            results.append(result)
+            record_result(result)
 
-    def retraction_drill(index: int, lane) -> None:
+    async def retraction_drill(index: int, lane) -> None:
         """A mid-negotiation retraction: StartNegotiation and
         PolicyExchange run normally, then the requester's qualification
         credential is revoked through the trust bus — the
@@ -747,7 +887,7 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         result = None
         revoked = False
         try:
-            start = resilient.call(service.url, "StartNegotiation", {
+            start = await call("StartNegotiation", {
                 "requester": agent,
                 "strategy": "standard",
                 "counterpartUrl": f"urn:repro:{agent.name}",
@@ -757,23 +897,18 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             if not negotiation_id:
                 _record(report.client_errors, "no-negotiation-id")
                 return
-            resilient.call(service.url, "PolicyExchange", {
+            await call("PolicyExchange", {
                 "negotiationId": negotiation_id, "resource": resource,
                 "at": at, "clientSeq": 1,
             })
             trust_bus.revoke(fixture.authority, credential)
             revoked = True
-            exchange = resilient.call(
-                service.url, "CredentialExchange",
-                {"negotiationId": negotiation_id, "clientSeq": 2},
-            )
+            exchange = await call("CredentialExchange", {
+                "negotiationId": negotiation_id, "clientSeq": 2,
+            })
             result = exchange.get("result")
         except ReproError as exc:
-            code = getattr(exc, "error_code", None)
-            _record(
-                report.client_errors,
-                code.value if code else type(exc).__name__,
-            )
+            record_error(exc)
         except Exception as exc:  # noqa: BLE001 - the invariant itself
             report.unhandled.append(
                 f"retraction-drill {index}: {type(exc).__name__}: {exc}"
@@ -803,107 +938,55 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
             )
             _record(report.failures, reason)
 
-    for index in range(config.negotiations):
-        client, agent, resource = lanes[index % len(lanes)]
-        byzantine = (
-            config.byzantine_every > 0
-            and (index + 1) % config.byzantine_every == 0
-        )
-        if byzantine:
-            # The impostor presents the victim's name and stolen
-            # credential profile but signs ownership proofs with its
-            # own key: every disclosure it attempts must be rejected.
-            report.byzantine_attempts += 1
-            victim = agent
-            impostor = TrustXAgent(
-                name=victim.name,
-                profile=victim.profile,
-                policies=victim.policies,
-                keypair=KeyPair.generate(512),
-                validator=victim.validator,
-                strategy=victim.strategy,
-            )
-            client = TNClient(
-                transport=resilient,
-                service_url=service.url,
-                agent=impostor,
-            )
-        try:
-            result = drive(client, resource)
-        except Exception as exc:  # noqa: BLE001 - the invariant itself
-            report.unhandled.append(
-                f"negotiation {index}: {type(exc).__name__}: {exc}"
-            )
-            result = None
-        if result is not None:
-            if byzantine:
-                if result.success:
-                    report.byzantine_successes += 1
-            elif result.success:
-                report.successes += 1
-                results.append(result)
-            else:
-                reason = (
-                    result.failure_reason.value
-                    if result.failure_reason else "unknown"
-                )
-                _record(report.failures, reason)
-                results.append(result)
-
-        if (
-            config.burst_every > 0
-            and (index + 1) % config.burst_every == 0
-        ):
-            # A low-priority client floods StartNegotiation without
-            # retries; the first two probes carry an already-expired
-            # deadline so deadline shedding fires under load too.
-            report.bursts += 1
-            burst_agent = lanes[rng.randrange(len(lanes))][1]
-            for probe_index in range(config.burst_size):
-                payload = {
-                    "requester": burst_agent,
-                    "strategy": "standard",
-                    "counterpartUrl": "urn:repro:burst",
-                    "requestId": f"soak-burst-{index}-{probe_index}",
-                    "priority": "identification",
-                }
-                if probe_index < 2:
-                    payload["deadlineMs"] = clock.elapsed_ms - 1.0
-                try:
-                    fixture.transport.call(
-                        service.url, "StartNegotiation", payload
-                    )
-                except OverloadError:
-                    report.burst_sheds += 1
-                except DeadlineExpiredError:
-                    report.deadline_sheds += 1
-                except ReproError as exc:
-                    code = getattr(exc, "error_code", None)
-                    _record(
-                        report.client_errors,
-                        code.value if code else type(exc).__name__,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    report.unhandled.append(
-                        f"burst {index}.{probe_index}: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-
+    async def slot(index: int, burst_lane, kill_lane, retract_lane) -> None:
+        """Slot ``index`` of the storm: its negotiation, then whichever
+        of burst, reap, kill drill and retraction drill fall due."""
+        await negotiation(index)
+        if burst_lane is not None:
+            await burst(index, burst_lane)
         if config.reap_every > 0 and (index + 1) % config.reap_every == 0:
             report.reaped += service.reap_expired()
+        if kill_lane is not None:
+            await kill_drill(index, kill_lane)
+        if retract_lane is not None:
+            await retraction_drill(index, retract_lane)
 
-        if (
-            cluster is not None
-            and config.node_kill_every > 0
-            and (index + 1) % config.node_kill_every == 0
-        ):
-            kill_drill(index, lanes[rng.randrange(len(lanes))])
+    def drill_lane(every: int, index: int):
+        if every > 0 and (index + 1) % every == 0:
+            return lanes[rng.randrange(len(lanes))]
+        return None
 
-        if (
-            config.retract_every > 0
-            and (index + 1) % config.retract_every == 0
-        ):
-            retraction_drill(index, lanes[rng.randrange(len(lanes))])
+    # Drill lanes are drawn when a slot is built, in slot order, so the
+    # seeded rng stream never depends on how tasks interleave.
+    slots = (
+        slot(
+            index,
+            drill_lane(config.burst_every, index),
+            drill_lane(config.node_kill_every, index),
+            drill_lane(config.retract_every, index),
+        )
+        for index in range(config.negotiations)
+    )
+
+    async def on_branch(pending) -> float:
+        with resilient.clock_branch() as branch:
+            await pending
+        return branch.elapsed_ms
+
+    if config.asyncio_mode:
+        # Waves of one slot per lane run concurrently, each task on a
+        # private clock branch.  The next wave starts at this one's
+        # horizon (its latest branch), so the base clock follows the
+        # critical path and time-based machinery — admission drain,
+        # breaker resets, shard restarts — keeps moving.
+        while wave := list(itertools.islice(slots, len(lanes))):
+            ends = await asyncio.gather(
+                *(on_branch(pending) for pending in wave)
+            )
+            clock.advance(max(0.0, max(ends) - clock.elapsed_ms))
+    else:
+        for pending in slots:
+            await pending
 
     # -- drain: let every abandoned session age out ---------------------------
     if cluster is not None:
@@ -941,6 +1024,13 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         report.sessions_recovered = cluster.sessions_recovered
         report.wal_records = cluster.wal_records()
         report.torn_records_discarded = cluster.torn_records_discarded()
+        report.hedges_fired = cluster.hedge_stats.fired
+        report.hedges_won = cluster.hedge_stats.won
+        report.hedges_cancelled = cluster.hedge_stats.cancelled
+        if cluster.health is not None:
+            report.shard_ejections = cluster.health.total_ejections()
+            report.shard_readmissions = cluster.health.total_readmissions()
+            report.health_probes = cluster.health_probes
 
     # -- invariants ------------------------------------------------------------
     def violate(invariant: str, detail: str) -> None:
@@ -965,6 +1055,12 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
         )
     if not report.successes:
         violate("liveness", "no negotiation succeeded during the soak")
+    if report.hedges_won > report.hedges_fired:
+        violate(
+            "hedge-accounting",
+            f"{report.hedges_won} hedge wins out of "
+            f"{report.hedges_fired} fired",
+        )
     for result in results:
         _check_disclosure_safety(result, agents, violate)
 
