@@ -20,11 +20,6 @@ asyncio p95 has to be equal or better.
 Full-mode gates: **>= 10x peak concurrent sessions at equal-or-better
 p95**, with every session succeeding in both modes.
 
-A second, non-gated section reports the wall-clock effect of batched
-signature verification (one vectorized RSA pass feeding the
-CRL-invalidated signature cache) against the scalar per-credential
-path on a policy-chain workload.
-
 ``BENCH_QUICK=1`` shrinks the workload for CI smoke runs; the section
 is stamped ``"quick": true`` and the gates are skipped outright.
 """
@@ -39,9 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from benchmarks.conftest import print_series
-from repro.negotiation.engine import negotiate
-from repro.perf import clear_all_caches
-from repro.scenario.workloads import capacity_workload, chain_workload
+from repro.scenario.workloads import capacity_workload
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import TNWebService
 from repro.services.transport import SimTransport
@@ -56,9 +49,6 @@ SESSIONS = 64 if QUICK else 320
 THREAD_WORKERS = 8 if QUICK else 16
 #: Distinct requester identities, assigned round-robin to sessions.
 REQUESTERS = 16 if QUICK else 32
-
-BATCH_CHAIN_DEPTH = 4 if QUICK else 8
-BATCH_REPEATS = 5 if QUICK else 40
 
 MIN_CAPACITY_RATIO = 10.0
 
@@ -201,39 +191,3 @@ def test_bench_async_session_capacity():
         f"{threads['sim_ms_p95']}ms"
     )
 
-
-def test_bench_batched_signature_verification():
-    fixture = chain_workload(BATCH_CHAIN_DEPTH)
-    timings = {}
-    for batch in (True, False):
-        started = time.perf_counter()
-        for _ in range(BATCH_REPEATS):
-            # Cold caches every repeat: batching only has work to do
-            # when the signature verdicts are not already cached.
-            clear_all_caches()
-            result = negotiate(
-                fixture.requester, fixture.controller, fixture.resource,
-                fixture.negotiation_time(), batch_verify=batch,
-            )
-            assert result.success
-        timings[batch] = time.perf_counter() - started
-    metrics = {
-        "chain_depth": BATCH_CHAIN_DEPTH,
-        "repeats": BATCH_REPEATS,
-        "batched_seconds": round(timings[True], 6),
-        "scalar_seconds": round(timings[False], 6),
-        "speedup": round(timings[False] / timings[True], 3),
-    }
-    print_series(
-        "Batched signature verification (cold caches)",
-        [
-            ("batched", metrics["batched_seconds"]),
-            ("scalar", metrics["scalar_seconds"]),
-            ("speedup", f"{metrics['speedup']}x"),
-        ],
-        ("mode", "seconds"),
-    )
-    # Informational: the vectorized pass shares padding work and skips
-    # duplicates, but both paths verify the same signatures — this
-    # section reports, it does not gate.
-    _merge_report("batched_verification", metrics)

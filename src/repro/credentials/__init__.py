@@ -26,11 +26,7 @@ from repro.credentials.profile import XProfile
 from repro.credentials.revocation import RevocationList, RevocationRegistry
 from repro.credentials.selective import SelectiveCredential
 from repro.credentials.sensitivity import Sensitivity, cred_cluster
-from repro.credentials.validation import (
-    CredentialValidator,
-    ValidationReport,
-    batch_prewarm_signatures,
-)
+from repro.credentials.validation import CredentialValidator, ValidationReport
 from repro.credentials.x509 import AttributeCertificate, VOMembershipToken
 
 __all__ = [
@@ -49,6 +45,5 @@ __all__ = [
     "CredentialChain",
     "ChainResolver",
     "CredentialValidator",
-    "batch_prewarm_signatures",
     "ValidationReport",
 ]

@@ -25,13 +25,7 @@ from typing import Optional
 from repro.credentials.chain import ChainResolver, CERTIFIED_KEY_ATTRIBUTE
 from repro.credentials.credential import Credential
 from repro.credentials.revocation import RevocationRegistry
-from repro.crypto.keys import (
-    Keyring,
-    PrivateKey,
-    PublicKey,
-    verify_b64,
-    verify_b64_batch,
-)
+from repro.crypto.keys import Keyring, PrivateKey, PublicKey, verify_b64
 from repro.errors import (
     CredentialExpiredError,
     CredentialOwnershipError,
@@ -45,65 +39,7 @@ __all__ = [
     "ValidationReport",
     "CredentialValidator",
     "cached_verify_b64",
-    "batch_prewarm_signatures",
 ]
-
-#: Distinguishes "absent from the cache" from a cached ``False`` verdict.
-_CACHE_MISS = object()
-
-
-def batch_prewarm_signatures(validator, credentials) -> int:
-    """Batch-verify issuer signatures, warming the signature cache.
-
-    Resolves each credential's issuer key through ``validator`` (chain
-    links still verify link-by-link via :func:`cached_verify_b64` —
-    they are shared across credentials, so the per-link cache already
-    amortizes them), skips triples whose verdict is already cached,
-    verifies the rest in one :func:`verify_b64_batch` pass, and stores
-    each verdict in :data:`repro.perf.SIGNATURE_CACHE` tagged
-    ``(issuer, serial)`` — the same key and tag
-    :func:`cached_verify_b64` uses, so a later
-    :meth:`CredentialValidator.validate` is a pure cache hit and a
-    retraction event naming that serial still evicts the verdict.
-
-    Returns the number of fresh verdicts computed.  Credentials without
-    a signature or with an unresolvable issuer are left for the scalar
-    path to reject.  When caches are globally disabled the batch pass
-    is skipped entirely (nowhere to put the verdicts).
-    """
-    from repro.perf import caches_enabled
-
-    if not caches_enabled():
-        return 0
-    pending = []
-    seen = set()
-    for credential in credentials:
-        if credential.signature_b64 is None:
-            continue
-        issuer_key, _ = validator._issuer_key(credential)
-        if issuer_key is None:
-            continue
-        digest = credential.signing_digest()
-        cache_key = (
-            issuer_key.fingerprint, digest, credential.signature_b64
-        )
-        if cache_key in seen:
-            continue
-        seen.add(cache_key)
-        if SIGNATURE_CACHE.get(cache_key, _CACHE_MISS) is not _CACHE_MISS:
-            continue
-        pending.append(
-            (cache_key, issuer_key, digest, credential.signature_b64,
-             (credential.issuer, credential.serial))
-        )
-    if not pending:
-        return 0
-    verdicts = verify_b64_batch(
-        [(key, digest, sig) for _, key, digest, sig, _ in pending]
-    )
-    for (cache_key, _, _, _, tag), ok in zip(pending, verdicts):
-        SIGNATURE_CACHE.put(cache_key, ok, tag=tag)
-    return len(pending)
 
 
 def cached_verify_b64(

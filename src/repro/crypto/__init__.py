@@ -9,7 +9,9 @@ this subpackage implements the needed primitives from scratch:
 - :mod:`repro.crypto.numbers` — Miller-Rabin primality, prime
   generation, modular inverse.
 - :mod:`repro.crypto.rsa` — RSA key generation and PKCS#1-v1.5-style
-  SHA-256 signatures.
+  SHA-256 signatures, signed with the Chinese Remainder Theorem (two
+  half-width exponentiations per signature, byte-identical to the
+  full-width ``pow(m, d, n)``).
 - :mod:`repro.crypto.keys` — serialization, fingerprints, and keyrings.
 
 Key sizes are configurable; tests and benchmarks default to small-but-
@@ -23,9 +25,8 @@ from repro.crypto.keys import (
     PrivateKey,
     PublicKey,
     verify_b64,
-    verify_b64_batch,
 )
-from repro.crypto.rsa import generate_keypair, sign, verify, verify_batch
+from repro.crypto.rsa import generate_keypair, sign, verify
 
 __all__ = [
     "KeyPair",
@@ -36,6 +37,4 @@ __all__ = [
     "sign",
     "verify",
     "verify_b64",
-    "verify_b64_batch",
-    "verify_batch",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "KeyPair",
     "Keyring",
     "verify_b64",
-    "verify_b64_batch",
 ]
 
 
@@ -108,33 +107,6 @@ def verify_b64(key: PublicKey, message: bytes, signature_b64: str) -> bool:
     except (ValueError, TypeError):
         return False
     return key.verify(message, signature)
-
-
-def verify_b64_batch(items) -> list:
-    """Verify ``(key, sha256_digest, signature_b64)`` triples in one pass.
-
-    The batch analogue of :func:`verify_b64` for callers that already
-    hold the message digests (credentials expose ``signing_digest()``):
-    base64 decoding and padding construction are amortized across the
-    batch by :func:`repro.crypto.rsa.verify_batch`, and each verdict is
-    exactly what the scalar call would have returned.  Malformed base64
-    is an invalid signature, never an exception.
-    """
-    items = list(items)
-    decoded = []
-    malformed = set()
-    for index, (key, digest, signature_b64) in enumerate(items):
-        try:
-            signature = base64.b64decode(signature_b64, validate=True)
-        except (ValueError, TypeError):
-            malformed.add(index)
-            continue
-        decoded.append((key.raw, digest, signature))
-    verified = iter(rsa.verify_batch(decoded))
-    return [
-        False if index in malformed else next(verified)
-        for index in range(len(items))
-    ]
 
 
 @dataclass

@@ -10,7 +10,7 @@ credential genuinely fails to verify) without an external dependency.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.numbers import generate_prime, modular_inverse
 from repro.errors import CryptoError, SignatureError
@@ -21,7 +21,6 @@ __all__ = [
     "generate_keypair",
     "sign",
     "verify",
-    "verify_batch",
 ]
 
 # DER prefix for a SHA-256 DigestInfo, as in PKCS#1 v1.5 signatures.
@@ -50,13 +49,28 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAPrivateKey:
-    """An RSA private key; carries the public half for convenience."""
+    """An RSA private key; carries the public half for convenience.
+
+    The Chinese Remainder Theorem exponents ``d mod (p-1)``,
+    ``d mod (q-1)`` and the coefficient ``q^-1 mod p`` are derived once
+    here, so a key built directly from ``(n, e, d, p, q)`` signs the
+    same way as one from :func:`generate_keypair`.
+    """
 
     modulus: int
     public_exponent: int
     private_exponent: int
     prime_p: int
     prime_q: int
+    crt_exponent_p: int = field(init=False, compare=False, repr=False)
+    crt_exponent_q: int = field(init=False, compare=False, repr=False)
+    crt_coefficient: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d, p, q = self.private_exponent, self.prime_p, self.prime_q
+        object.__setattr__(self, "crt_exponent_p", d % (p - 1))
+        object.__setattr__(self, "crt_exponent_q", d % (q - 1))
+        object.__setattr__(self, "crt_coefficient", modular_inverse(q, p))
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -103,11 +117,21 @@ def _pad_digest(digest: bytes, length: int) -> bytes:
 
 
 def sign(key: RSAPrivateKey, message: bytes) -> bytes:
-    """Sign ``message`` with ``key``; returns the raw signature bytes."""
+    """Sign ``message`` with ``key``; returns the raw signature bytes.
+
+    Computes ``pad(sha256(message))^d mod n`` as two half-width
+    exponentiations recombined with Garner's formula, which yields the
+    same integer as the full-width ``pow`` at roughly a third of the
+    cost.
+    """
     digest = hashlib.sha256(message).digest()
     encoded = _pad_digest(digest, key.byte_length)
     value = int.from_bytes(encoded, "big")
-    signature = pow(value, key.private_exponent, key.modulus)
+    p, q = key.prime_p, key.prime_q
+    m_p = pow(value, key.crt_exponent_p, p)
+    m_q = pow(value, key.crt_exponent_q, q)
+    h = (key.crt_coefficient * (m_p - m_q)) % p
+    signature = m_q + h * q
     return signature.to_bytes(key.byte_length, "big")
 
 
@@ -124,59 +148,3 @@ def verify(key: RSAPublicKey, message: bytes, signature: bytes) -> bool:
         hashlib.sha256(message).digest(), key.byte_length
     )
     return recovered.to_bytes(key.byte_length, "big") == expected
-
-
-def verify_batch(items) -> list:
-    """Verify a batch of ``(key, sha256_digest, signature)`` triples.
-
-    Returns one bool per item, each exactly what
-    ``verify(key, message, signature)`` would return for a message
-    hashing to ``sha256_digest``.  The batch form amortizes the
-    per-call marshalling: the PKCS#1 padding prefix is built once per
-    key size and identical triples are verified once.
-
-    The classical RSA screening trick — checking
-    ``prod(sig_i)^e == prod(pad(digest_i)) (mod n)`` in a single
-    exponentiation — is deliberately **not** used here.  Unweighted, it
-    is unsound against adversarial batches (a peer can cancel a bad
-    signature against a compensating one, and these verdicts feed a
-    cache); with random weights it needs one small-exponent
-    exponentiation per item *plus* the weighting arithmetic, which for
-    e = 65537 costs more than the plain per-item check it replaces.
-    """
-    # Padding depends only on (digest length, key byte length); cache
-    # the constant prefix per pair so the loop is pure concatenation.
-    prefixes: dict[tuple, bytes] = {}
-    results: dict[tuple, bool] = {}
-    verdicts = []
-    for key, digest, signature in items:
-        length = key.byte_length
-        item_key = (key.modulus, key.exponent, digest, signature)
-        cached = results.get(item_key)
-        if cached is not None:
-            verdicts.append(cached)
-            continue
-        ok = False
-        if len(signature) == length:
-            value = int.from_bytes(signature, "big")
-            if value < key.modulus:
-                prefix = prefixes.get((length, len(digest)))
-                if prefix is None:
-                    payload_len = len(_SHA256_DIGEST_INFO) + len(digest)
-                    if length < payload_len + 11:
-                        raise SignatureError(
-                            "key too small to sign a SHA-256 digest "
-                            f"({length} bytes)"
-                        )
-                    prefix = (
-                        b"\x00\x01"
-                        + b"\xff" * (length - payload_len - 3)
-                        + b"\x00"
-                        + _SHA256_DIGEST_INFO
-                    )
-                    prefixes[(length, len(digest))] = prefix
-                recovered = pow(value, key.exponent, key.modulus)
-                ok = recovered.to_bytes(length, "big") == prefix + digest
-        results[item_key] = ok
-        verdicts.append(ok)
-    return verdicts

@@ -60,7 +60,6 @@ __all__ = [
     "OP_ISSUE_CHALLENGE",
     "OP_MAKE_DISCLOSURE",
     "OP_VERIFY_DISCLOSURE",
-    "OP_PREWARM_VERIFICATION",
     "OP_ENSURE_NOT_REVOKED",
 ]
 
@@ -78,7 +77,6 @@ OP_PROFILE_GET = "profile_get"
 OP_ISSUE_CHALLENGE = "issue_challenge"
 OP_MAKE_DISCLOSURE = "make_disclosure"
 OP_VERIFY_DISCLOSURE = "verify_disclosure"
-OP_PREWARM_VERIFICATION = "prewarm_verification"
 OP_ENSURE_NOT_REVOKED = "ensure_disclosure_not_revoked"
 
 
@@ -177,12 +175,6 @@ class NegotiationCore:
     max_nodes: int = 512
     view_limit: int = 64
     view_selection: str = "first"
-    #: Batch-verify the issuer signatures of a trust sequence's full
-    #: credentials in one vectorized pass (warming
-    #: :data:`repro.perf.SIGNATURE_CACHE`) before stepping the
-    #: exchange.  Results are bit-identical with the per-step path;
-    #: only the wall-clock cost of the RSA checks changes.
-    batch_verify: bool = True
 
     # Per-run state, rebuilt by run().
     tree: NegotiationTree = field(init=False, repr=False, default=None)
@@ -542,40 +534,6 @@ class NegotiationCore:
                 resource, sequence, at, policy_messages, exchange_span
             ))
 
-    def _prewarm_sequence(self, sequence: TrustSequence):
-        """Prefetch the sequence's full-credential disclosures and batch
-        their issuer-signature checks, one vectorized pass per receiver.
-
-        The verdicts land in :data:`repro.perf.SIGNATURE_CACHE`, so the
-        per-step ``verify_disclosure`` below hits the cache instead of
-        re-running RSA one call at a time.  Selective presentations are
-        excluded (their verification is structural, over commitments,
-        not a bare issuer-signature check) and ownership proofs are
-        never prewarmed (fresh nonce per challenge).  Per-step
-        semantics, ordering, and failure behaviour are unchanged.
-        """
-        step_credentials: dict[int, Any] = {}
-        groups = sequence.batch_plan(
-            skip=lambda step: (
-                self._strategies[step.discloser].minimal_disclosure
-            )
-        )
-        for discloser in sorted(groups):
-            receiver = self._counterpart(discloser)
-            batch = []
-            for index, step in groups[discloser]:
-                credential = yield AgentOp(
-                    discloser, OP_PROFILE_GET, (step.credential_id,)
-                )
-                step_credentials[index] = credential
-                batch.append(credential)
-            prewarmed = yield AgentOp(
-                receiver, OP_PREWARM_VERIFICATION, (tuple(batch),)
-            )
-            if prewarmed:
-                obs_count("negotiation.batch_verified", prewarmed)
-        return step_credentials
-
     def _recheck_retractions(self, epoch: int, accepted):
         """Re-verify accepted credentials when the trust epoch advanced.
 
@@ -615,9 +573,6 @@ class NegotiationCore:
         disclosed_controller: list[str] = []
         accepted_credentials: list[tuple[str, Any]] = []
         epoch = trust_epoch()
-        step_credentials: dict[int, Any] = {}
-        if self.batch_verify:
-            step_credentials = yield from self._prewarm_sequence(sequence)
         # Group-condition bookkeeping: which edge each disclosed node
         # belongs to, and what its receiver effectively learned.
         edge_of_child: dict[int, int] = {}
@@ -625,7 +580,7 @@ class NegotiationCore:
             for child in self.tree.edge(edge_id).children:
                 edge_of_child[child] = edge_id
         received_per_edge: dict[int, list] = {}
-        for index, step in enumerate(sequence.steps):
+        for step in sequence.steps:
             try:
                 epoch = yield from self._recheck_retractions(
                     epoch, accepted_credentials
@@ -648,11 +603,9 @@ class NegotiationCore:
                 continue
             discloser = step.discloser
             receiver = self._counterpart(discloser)
-            credential = step_credentials.get(index)
-            if credential is None:
-                credential = yield AgentOp(
-                    discloser, OP_PROFILE_GET, (step.credential_id,)
-                )
+            credential = yield AgentOp(
+                discloser, OP_PROFILE_GET, (step.credential_id,)
+            )
             nonce = yield AgentOp(receiver, OP_ISSUE_CHALLENGE)
             try:
                 disclosure = yield AgentOp(

@@ -74,26 +74,6 @@ class TrustSequence:
             if step.discloser == party and not step.is_grant
         ]
 
-    def batch_plan(
-        self, skip: Callable[[SequenceStep], bool] = lambda step: False
-    ) -> dict[str, list[tuple[int, SequenceStep]]]:
-        """Group disclosure steps by discloser for batched verification.
-
-        Returns ``{discloser: [(step index, step), ...]}`` preserving
-        sequence order within each group, excluding grants and any step
-        ``skip`` rejects (e.g. selective-disclosure steps whose
-        verification is structural rather than a bare signature check).
-        Each group is everything one *receiver* — the discloser's
-        counterpart — will be asked to verify, so its issuer signatures
-        can be checked in one vectorized pass up front.
-        """
-        groups: dict[str, list[tuple[int, SequenceStep]]] = {}
-        for index, step in enumerate(self.steps):
-            if step.is_grant or step.credential_id is None or skip(step):
-                continue
-            groups.setdefault(step.discloser, []).append((index, step))
-        return groups
-
     def describe(self) -> str:
         """Human-readable plan, one line per step."""
         lines = []

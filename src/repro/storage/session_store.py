@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Iterator, Optional
 from xml.etree import ElementTree as ET
 
 from repro.errors import StorageError, XMLError
@@ -127,55 +127,71 @@ class WALSessionStore(SessionStore):
     mismatch) is discarded and physically truncated away — the append
     it belonged to never committed.  Damage anywhere before the final
     record is not a torn write and raises :class:`StorageError`.
+
+    Records live only on disk.  LSNs run contiguously from 1, so the
+    last LSN is also the record count; ``latest()`` re-reads the
+    committed bytes through the same crc-checked scan recovery uses.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self.name = f"wal:{os.path.basename(self.path)}"
         self.torn_discarded = 0
-        self._records: list[tuple[int, str, str]] = []  # (lsn, sid, xml)
         self._lsn = 0
         self._committed_bytes = 0  # file offset past the last intact record
         self._recover()
 
     # -- recovery -----------------------------------------------------------------
 
+    def _scan(self, raw: str) -> Iterator[tuple[int, str, str, int]]:
+        """Yield ``(lsn, session, xml, end)`` for each intact record of
+        ``raw``, where ``end`` is the byte offset just past its line.
+
+        The scan stops at a damaged final record (a torn write); damage
+        before the final record, or an LSN gap, raises
+        :class:`StorageError`.
+        """
+        lines = raw.split("\n")
+        # a fully committed file ends with a newline, so the final split
+        # element is empty; anything else is a torn tail candidate
+        expected_lsn = 1
+        end = 0
+        for lineno, line in enumerate(lines):
+            end += len(line.encode("utf-8")) + 1
+            if line == "":
+                continue
+            record = self._parse_record(line)
+            if record is None:
+                if any(rest != "" for rest in lines[lineno + 1:]):
+                    raise StorageError(
+                        f"WAL {self.path!r} corrupt at record "
+                        f"{lineno + 1} (not the final record)"
+                    )
+                return
+            lsn, session_id, xml = record
+            if lsn != expected_lsn:
+                raise StorageError(
+                    f"WAL {self.path!r} LSN gap: expected "
+                    f"{expected_lsn}, found {lsn}"
+                )
+            expected_lsn += 1
+            yield lsn, session_id, xml, end
+
     def _recover(self) -> None:
         if not os.path.exists(self.path):
             return
         with open(self.path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-        lines = raw.split("\n")
-        # a fully committed file ends with a newline, so the final split
-        # element is empty; anything else is a torn tail candidate
-        good_bytes = 0
-        for lineno, line in enumerate(lines):
-            if line == "":
-                continue
-            record = self._parse_record(line)
-            is_last = all(rest == "" for rest in lines[lineno + 1:])
-            if record is None:
-                if not is_last:
-                    raise StorageError(
-                        f"WAL {self.path!r} corrupt at record "
-                        f"{lineno + 1} (not the final record)"
-                    )
-                self.torn_discarded += 1
-                break
-            lsn, session_id, xml = record
-            if lsn != self._lsn + 1:
-                raise StorageError(
-                    f"WAL {self.path!r} LSN gap: expected "
-                    f"{self._lsn + 1}, found {lsn}"
-                )
-            self._records.append(record)
+        for lsn, _, _, end in self._scan(raw):
             self._lsn = lsn
-            good_bytes += len(line.encode("utf-8")) + 1
-        self._committed_bytes = good_bytes
-        if good_bytes != len(raw.encode("utf-8")):
+            self._committed_bytes = end
+        tail = raw.encode("utf-8")[self._committed_bytes:]
+        if tail.strip(b"\n"):
+            self.torn_discarded += 1
+        if tail:
             # drop the torn tail so later appends start on a clean line
             with open(self.path, "r+", encoding="utf-8") as handle:
-                handle.truncate(good_bytes)
+                handle.truncate(self._committed_bytes)
 
     @staticmethod
     def _parse_record(line: str) -> Optional[tuple[int, str, str]]:
@@ -218,12 +234,15 @@ class WALSessionStore(SessionStore):
             handle.seek(self._committed_bytes)
             handle.write(data)
         self._committed_bytes += len(data)
-        self._records.append((lsn, session_id, xml))
         self._lsn = lsn
 
     def latest(self) -> dict[str, ET.Element]:
         state: dict[str, ET.Element] = {}
-        for _, session_id, xml in self._records:
+        if not self._committed_bytes:
+            return state
+        with open(self.path, "rb") as handle:
+            raw = handle.read(self._committed_bytes).decode("utf-8")
+        for _, session_id, xml, _ in self._scan(raw):
             try:
                 state[session_id] = parse_xml(xml)
             except XMLError as exc:  # crc guarantees this is unreachable
@@ -234,7 +253,7 @@ class WALSessionStore(SessionStore):
         return state
 
     def records(self) -> int:
-        return len(self._records)
+        return self._lsn
 
     @property
     def last_lsn(self) -> int:
@@ -242,20 +261,21 @@ class WALSessionStore(SessionStore):
 
     def tear_last_record(self) -> bool:
         """Chop the final record mid-line, as a power loss during the
-        append would.  The in-memory view rewinds to match what a
-        recovering reader will see."""
-        if not self._records or not os.path.exists(self.path):
+        append would.  The LSN and committed offset rewind to match
+        what a recovering reader will see."""
+        if not self._lsn or not os.path.exists(self.path):
             return False
+        # read only the committed records: a tail torn earlier is not
+        # one of them, so a second tear damages the record before it
         with open(self.path, "rb") as handle:
-            data = handle.read()
+            data = handle.read(self._committed_bytes)
         # strip the trailing newline, then cut the last line in half
-        body = data[:-1] if data.endswith(b"\n") else data
+        body = data[:-1]
         cut = body.rfind(b"\n") + 1  # start of the final record
         torn_at = cut + max(1, (len(body) - cut) // 2)
         with open(self.path, "r+b") as handle:
             handle.truncate(torn_at)
-        self._records.pop()
-        self._lsn = max((lsn for lsn, _, _ in self._records), default=0)
+        self._lsn -= 1
         self._committed_bytes = cut
         self.torn_discarded += 1
         return True

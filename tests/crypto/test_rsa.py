@@ -1,5 +1,7 @@
 """RSA key generation and signatures."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,3 +92,60 @@ def test_sign_verify_property(message):
 
 
 _PROPERTY_KEY = rsa.generate_keypair(512)
+
+#: Keys the CRT property tests draw from: two per modulus size, so the
+#: examples cover both sizes and more than one (p, q) pair of each.
+_CRT_KEY_POOL = tuple(
+    rsa.generate_keypair(bits) for bits in (512, 512, 768, 768)
+)
+
+
+def _full_width_reference(key: rsa.RSAPrivateKey, message: bytes) -> bytes:
+    """PKCS#1 v1.5 SHA-256 signature as one full-width ``pow(m, d, n)``,
+    encoded from RFC 8017 section 9.2 independently of ``rsa``."""
+    digest_info = bytes.fromhex(
+        "3031300d060960864801650304020105000420"
+    ) + hashlib.sha256(message).digest()
+    length = key.byte_length
+    encoded = (
+        b"\x00\x01" + b"\xff" * (length - len(digest_info) - 3)
+        + b"\x00" + digest_info
+    )
+    value = pow(
+        int.from_bytes(encoded, "big"), key.private_exponent, key.modulus
+    )
+    return value.to_bytes(length, "big")
+
+
+class TestCRTSigning:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        key=st.sampled_from(_CRT_KEY_POOL),
+        message=st.one_of(st.just(b""), st.binary(max_size=512)),
+    )
+    def test_matches_full_width_reference_byte_for_byte(self, key, message):
+        assert rsa.sign(key, message) == _full_width_reference(key, message)
+
+    @pytest.mark.parametrize(
+        "key", _CRT_KEY_POOL, ids=lambda k: f"{k.modulus.bit_length()}b"
+    )
+    def test_hand_built_key_signs_identically(self, key):
+        rebuilt = rsa.RSAPrivateKey(
+            key.modulus, key.public_exponent, key.private_exponent,
+            key.prime_p, key.prime_q,
+        )
+        swapped = rsa.RSAPrivateKey(
+            key.modulus, key.public_exponent, key.private_exponent,
+            key.prime_q, key.prime_p,
+        )
+        assert rebuilt == key
+        for message in (b"", b"ownership proof nonce", bytes(range(256))):
+            expected = _full_width_reference(key, message)
+            assert rsa.sign(rebuilt, message) == expected
+            assert rsa.sign(swapped, message) == expected
+
+    def test_crt_parameters_derived_from_the_primes(self, key):
+        d, p, q = key.private_exponent, key.prime_p, key.prime_q
+        assert key.crt_exponent_p == d % (p - 1)
+        assert key.crt_exponent_q == d % (q - 1)
+        assert (key.crt_coefficient * q) % p == 1

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from repro.negotiation.core import (
-    OP_PREWARM_VERIFICATION,
     AgentOp,
     NegotiationCore,
     drive,
@@ -81,18 +80,6 @@ class TestEffectVocabulary:
             fixture.requester, fixture.controller
         ).run(fixture.resource, at=fixture.negotiation_time())
         assert custom.to_audit_record() == engine_result.to_audit_record()
-
-    def test_prewarm_effect_tracks_batch_verify_flag(self, fixture):
-        batched_ops, batched = _collect_ops(fixture, batch_verify=True)
-        scalar_ops, scalar = _collect_ops(fixture, batch_verify=False)
-        assert any(
-            op.op == OP_PREWARM_VERIFICATION for op in batched_ops
-        ), "batch_verify=True must request a prewarm pass"
-        assert not any(
-            op.op == OP_PREWARM_VERIFICATION for op in scalar_ops
-        ), "batch_verify=False must never prewarm"
-        # The flag changes scheduling of RSA work, never the outcome.
-        assert batched.to_audit_record() == scalar.to_audit_record()
 
 
 class TestDrive:

@@ -1,8 +1,11 @@
 """SessionStore backends: journal semantics, WAL recovery, torn writes."""
 
+import tempfile
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage.session_store import (
@@ -109,6 +112,22 @@ class TestWALRecovery:
         assert reopened.last_lsn == 2
         assert reopened.latest()["tn-1"].get("phase") == "expired"
 
+    def test_second_tear_damages_the_record_before(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        for phase in ("started", "policy", "exchange"):
+            wal.append("tn-1", checkpoint("tn-1", phase))
+        assert wal.tear_last_record() and wal.tear_last_record()
+        assert wal.records() == 1
+        assert wal.latest()["tn-1"].get("phase") == "started"
+        wal.close()
+
+        reopened = WALSessionStore(path)
+        assert reopened.records() == 1
+        reopened.append("tn-1", checkpoint("tn-1", "expired"))
+        assert reopened.last_lsn == 2
+        assert reopened.latest()["tn-1"].get("phase") == "expired"
+
     def test_mid_file_corruption_is_not_a_torn_write(self, tmp_path):
         path = tmp_path / "sessions.wal"
         wal = WALSessionStore(path)
@@ -141,3 +160,78 @@ class TestWALRecovery:
         wal = WALSessionStore(tmp_path / "absent.wal")
         assert wal.records() == 0
         assert wal.latest() == {}
+
+
+def _chop_final_record(path: Path) -> None:
+    """Cut the WAL's final line in half, as a mid-append power loss
+    would, behind the store's back."""
+    data = path.read_bytes()
+    cut = data[:-1].rfind(b"\n") + 1
+    path.write_bytes(data[: cut + (len(data) - cut) // 2])
+
+
+_WAL_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"),
+            st.sampled_from(["tn-1", "tn-2", "tn-3"]),
+            st.sampled_from(["started", "policy", "exchange", "done"]),
+        ),
+        st.tuples(st.just("tear")),
+        st.tuples(st.just("reopen")),
+        st.tuples(st.just("torn-reopen")),
+    ),
+    max_size=24,
+)
+
+
+class TestWALViewsAgree:
+    """``records()`` counts LSNs and ``latest()`` re-reads the file, so
+    neither keeps a copy of the journal: both must still agree with a
+    plain list model through appends, tears, reopens and torn-tail
+    recovery."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_WAL_OPS)
+    def test_latest_and_records_track_a_journal_model(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "sessions.wal"
+            wal = WALSessionStore(path)
+            journal: list[tuple[str, str]] = []
+            for op in ops:
+                if op[0] == "append":
+                    _, session_id, phase = op
+                    wal.append(session_id, checkpoint(session_id, phase))
+                    journal.append((session_id, phase))
+                elif op[0] == "tear":
+                    assert wal.tear_last_record() is bool(journal)
+                    journal = journal[:-1]
+                elif op[0] == "reopen":
+                    wal.close()
+                    wal = WALSessionStore(path)
+                else:
+                    wal.close()
+                    # a tail torn by an earlier tear is not a record
+                    if journal and path.read_bytes().endswith(b"\n"):
+                        _chop_final_record(path)
+                        journal = journal[:-1]
+                    wal = WALSessionStore(path)
+                expected = dict(journal)
+                assert wal.records() == wal.last_lsn == len(journal)
+                latest = wal.latest()
+                assert {
+                    sid: element.get("phase")
+                    for sid, element in latest.items()
+                } == expected
+            wal.close()
+
+    def test_torn_tail_left_by_tear_is_invisible_to_latest(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.append("tn-2", checkpoint("tn-2", "started"))
+        wal.tear_last_record()
+        # the half-written line is still on disk until the next append
+        assert not path.read_bytes().endswith(b"\n")
+        assert set(wal.latest()) == {"tn-1"}
+        assert wal.records() == 1
