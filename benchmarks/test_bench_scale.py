@@ -66,7 +66,7 @@ def _run_cluster(fixture, shards: int) -> dict:
     transport = SimTransport()
     cluster = ShardedTNService(
         fixture.controller, transport, url="urn:tn-scale",
-        shards=shards, replicas=RING_REPLICAS, checkpoints=False,
+        shards=shards, replicas=RING_REPLICAS,
     )
     at = fixture.negotiation_time()
     shard_busy_ms = [0.0] * shards

@@ -7,9 +7,9 @@ Runs the Aircraft Optimization membership negotiation three ways:
    deliveries, and database-connect failures — survived by retries
    with exponential backoff and server-side deduplication;
 3. through a TN Web service **crash** between the policy and
-   credential phases — survived by per-phase checkpoints in the XML
-   document store and a restart that resumes the negotiation and
-   produces the *identical* outcome.
+   credential phases — survived by per-phase checkpoints in the
+   service's session journal and a restart that resumes the
+   negotiation from it and produces the *identical* outcome.
 
 The same walkthrough is wired into the CLI as ``python -m repro
 faults``; try different seeds and strategies::

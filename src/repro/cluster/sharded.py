@@ -84,11 +84,7 @@ from repro.obs import (
     gauge as obs_gauge,
 )
 from repro.services.resilience_core import TRANSIENT_ERRORS
-from repro.services.tn_service import (
-    NegotiationSession,
-    SESSION_COLLECTION,
-    TNWebService,
-)
+from repro.services.tn_service import NegotiationSession, TNWebService
 from repro.storage.document_store import XMLDocumentStore
 from repro.storage.session_store import (
     InMemorySessionStore,
@@ -205,7 +201,6 @@ class ShardedTNService:
         shards: int = 3,
         agents: Optional[dict[str, TrustXAgent]] = None,
         cache: Optional[SequenceCache] = None,
-        checkpoints: bool = True,
         hardening: Optional[HardeningConfig] = None,
         wal_dir: Optional[str] = None,
         restart_after_ms: float = 2000.0,
@@ -224,7 +219,6 @@ class ShardedTNService:
         self.transport = transport
         self.url = url
         self.cache = cache
-        self.checkpoints = checkpoints
         self.hardening = hardening
         self.restart_after_ms = restart_after_ms
         #: Requester-name -> agent map consulted when sessions are
@@ -286,8 +280,7 @@ class ShardedTNService:
     def _build_service(self, node: ShardNode) -> TNWebService:
         return TNWebService(
             self.owner, self.transport, node.store, node.url,
-            cache=self.cache, checkpoints=self.checkpoints,
-            hardening=self.hardening,
+            cache=self.cache, hardening=self.hardening,
             session_store=node.session_store,
             node_id=f"tn-s{node.index}",
         )
@@ -361,8 +354,7 @@ class ShardedTNService:
             return node.service
         service = TNWebService.restore(
             self.owner, self.transport, node.store, node.url,
-            agents=self.agents, cache=self.cache,
-            checkpoints=self.checkpoints, hardening=self.hardening,
+            agents=self.agents, cache=self.cache, hardening=self.hardening,
             session_store=node.session_store,
             node_id=f"tn-s{node.index}",
         )
@@ -904,8 +896,9 @@ class ShardedTNService:
         self, session_id: str, target_index: int
     ) -> NegotiationSession:
         """Move a (possibly mid-negotiation) session to another live
-        shard: adopt from the source's last checkpoint, release it at
-        the source, re-point the placement."""
+        shard: adopt from the source's last journalled checkpoint (the
+        state ``restart_node`` and failover recover), release it at the
+        source, re-point the placement."""
         target = self._nodes[target_index]
         if not target.live or target.service is None:
             raise ServiceError(
@@ -924,7 +917,12 @@ class ShardedTNService:
                 )
             return session
         source = self._nodes[source_index]
-        element = source.store.get(SESSION_COLLECTION, session_id)
+        element = source.session_store.latest().get(session_id)
+        if element is None:
+            raise ServiceError(
+                f"no journalled checkpoint of {session_id!r} on "
+                f"{source.url!r}"
+            )
         session = target.service.adopt_session(element, self.agents)
         if source.live and source.service is not None:
             source.service.release_session(session_id)

@@ -59,6 +59,7 @@ def negotiate_under_faults(
             restart=lambda: service_ref.update(service=TNWebService.restore(
                 owner, injector, store, url,
                 agents={requester.name: requester},
+                session_store=service_ref["service"].session_store,
             )),
         )
     client = TNClient(resilient, url, requester)

@@ -176,7 +176,8 @@ class FaultInjector:
 
         ``crash`` simulates the process dying (e.g.
         :meth:`TNWebService.crash`); ``restart`` revives it (e.g. a
-        :meth:`TNWebService.restore` closure rebinding the URL);
+        :meth:`TNWebService.restore` closure that passes the crashed
+        service's ``session_store`` and rebinds the URL);
         ``tear`` damages the node's WAL tail for
         :data:`FaultKind.WAL_TORN_WRITE` (e.g. a
         :meth:`SessionStore.tear_last_record` closure).

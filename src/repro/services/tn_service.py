@@ -34,12 +34,12 @@ Resilience (this module's additions for partial failure):
   re-billing.  A retried call whose first delivery *did* execute (a
   lost response) is therefore harmless.
 - **Checkpoints** — after every operation the session's durable state
-  is written as one XML document into the ``sessions`` collection of
-  the :class:`~repro.storage.document_store.XMLDocumentStore` (the
-  prototype's Oracle).  Checkpoints survive a service crash.
+  is appended as one ``<negotiationSession>`` element to the service's
+  :class:`~repro.storage.session_store.SessionStore` journal, the one
+  durable copy of a session.  Checkpoints survive a service crash.
 - **Suspend/resume** — :meth:`crash` simulates the process dying
   (volatile sessions lost, URL unbound); :meth:`TNWebService.restore`
-  rebuilds a service from the store and continues interrupted
+  rebuilds a service from the journal and continues interrupted
   negotiations: with the requester agent available the engine re-runs
   deterministically at the checkpointed negotiation time (same
   disclosures, same sequence); without it, a checkpointed outcome is
@@ -87,13 +87,10 @@ from repro.negotiation.outcomes import (
 from repro.negotiation.strategies import Strategy
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
-from repro.storage.session_store import SessionStore
+from repro.storage.session_store import InMemorySessionStore, SessionStore
 from repro.trust import trust_epoch
 
-__all__ = ["TNWebService", "NegotiationSession", "SESSION_COLLECTION"]
-
-#: Store collection holding the per-session checkpoints.
-SESSION_COLLECTION = "sessions"
+__all__ = ["TNWebService", "NegotiationSession"]
 
 
 @dataclass
@@ -156,7 +153,6 @@ class TNWebService:
         store: XMLDocumentStore,
         url: str,
         cache: Optional[SequenceCache] = None,
-        checkpoints: bool = True,
         hardening: Optional[HardeningConfig] = None,
         session_store: Optional[SessionStore] = None,
         node_id: Optional[str] = None,
@@ -166,12 +162,13 @@ class TNWebService:
         self.store = store
         self.url = url
         self.cache = cache
-        self.checkpoints = checkpoints
         self.hardening = hardening
-        #: Optional durability journal: every checkpoint is appended
-        #: here as well, so a node that loses both volatile state *and*
-        #: its document store (a real process death) can still recover.
-        self.session_store = session_store
+        #: The checkpoint journal, sink and recovery source of every
+        #: session; pass it to :meth:`restore` to resume this service.
+        self.session_store = (
+            session_store if session_store is not None
+            else InMemorySessionStore()
+        )
         #: Session-id prefix.  Cluster shards mint from disjoint
         #: namespaces (``tn-s0-1``, ``tn-s1-1``, ...) so the router's
         #: placement map never sees colliding ids.
@@ -244,7 +241,7 @@ class TNWebService:
     def crash(self) -> None:
         """Simulate the process dying: volatile state is lost *without*
         a final checkpoint flush; only per-operation checkpoints
-        already in the store survive."""
+        already in the journal survive."""
         self.transport.unbind(self.url)
         self._sessions.clear()
         self._requests.clear()
@@ -267,40 +264,31 @@ class TNWebService:
         url: str,
         agents: Optional[dict[str, TrustXAgent]] = None,
         cache: Optional[SequenceCache] = None,
-        checkpoints: bool = True,
         hardening: Optional[HardeningConfig] = None,
-        session_store: Optional[SessionStore] = None,
+        *,
+        session_store: SessionStore,
         node_id: Optional[str] = None,
     ) -> "TNWebService":
-        """Rebuild a service from its checkpointed sessions.
+        """Rebuild a service from the checkpoints in ``session_store``.
 
         ``agents`` maps requester names back to their in-process agent
         references (the prototype would re-resolve SOAP endpoints); a
         session whose requester cannot be resolved degrades to its
         checkpointed outcome.
 
-        When ``session_store`` is given its journal — not the document
-        store — is the recovery source: the journal is replayed into
-        per-session latest state and each restored session is mirrored
-        back into ``store`` so both views agree.  Restored sessions
+        The journal is replayed into per-session latest state and the
+        restored service keeps appending to it.  Restored sessions
         re-anchor their TTL at restore time; their original
         ``touched_ms`` belongs to the dead node's timeline and would
         otherwise get live sessions reaped as "expired" the moment the
         reaper runs.
         """
         service = cls(
-            owner, transport, store, url, cache=cache,
-            checkpoints=checkpoints, hardening=hardening,
+            owner, transport, store, url, cache=cache, hardening=hardening,
             session_store=session_store, node_id=node_id,
         )
         agents = agents or {}
-        if session_store is not None:
-            checkpoints_by_id = session_store.latest()
-        else:
-            checkpoints_by_id = {
-                doc_id: store.get(SESSION_COLLECTION, doc_id)
-                for doc_id in store.ids(SESSION_COLLECTION)
-            }
+        checkpoints_by_id = session_store.latest()
         highest = 0
         now_ms = transport.clock.elapsed_ms
         for doc_id in sorted(checkpoints_by_id):
@@ -311,8 +299,6 @@ class TNWebService:
             service._track_opened(session)
             if session.request_id:
                 service._requests[session.request_id] = session.session_id
-            if session_store is not None and checkpoints:
-                store.put(SESSION_COLLECTION, session.session_id, element)
             prefix, _, suffix = session.session_id.rpartition("-")
             if suffix.isdigit():
                 highest = max(highest, int(suffix))
@@ -336,7 +322,7 @@ class TNWebService:
         Failover and explicit migration both land here: the session is
         rebuilt from its last checkpoint, its TTL re-anchored on this
         node's timeline, and a fresh checkpoint written so this node's
-        stores become authoritative.  An existing live session with the
+        journal becomes authoritative.  An existing live session with the
         same id is left untouched (adoption is idempotent).
         """
         session = self._session_from_xml(element, agents or {})
@@ -376,9 +362,7 @@ class TNWebService:
             )
 
     def _checkpoint(self, session: NegotiationSession) -> None:
-        """Write the session's durable state into the store."""
-        if not self.checkpoints:
-            return
+        """Append the session's durable state to the journal."""
         element = ET.Element("negotiationSession", {
             "id": session.session_id,
             "phase": session.phase,
@@ -413,9 +397,7 @@ class TNWebService:
                 )
                 for cred_id in ids:
                     ET.SubElement(disclosed, "credential", {"id": cred_id})
-        self.store.put(SESSION_COLLECTION, session.session_id, element)
-        if self.session_store is not None:
-            self.session_store.append(session.session_id, element)
+        self.session_store.append(session.session_id, element)
         if obs_enabled():
             obs_count("tn_service.checkpoints")
             obs_event(

@@ -310,7 +310,7 @@ class InitiatorEdition:
     def restart_trust_negotiation(
         self, agents: Optional[dict] = None
     ) -> TNWebService:
-        """Revive a crashed TN Web service from its checkpoint store,
+        """Revive a crashed TN Web service from its checkpoint journal,
         resuming any interrupted negotiations."""
         if self._tn_service is None or self._tn_store is None:
             raise MembershipError(
@@ -325,6 +325,7 @@ class InitiatorEdition:
             agents=agents,
             cache=self._tn_cache,
             hardening=self.hardening,
+            session_store=self._tn_service.session_store,
         )
         return self._tn_service
 

@@ -10,8 +10,8 @@ negotiations deterministically.
 
 Two backends share the interface:
 
-- :class:`InMemorySessionStore` — a plain journal list, for tests and
-  single-process runs;
+- :class:`InMemorySessionStore` — a plain journal list of the
+  checkpoint elements themselves, for tests and single-process runs;
 - :class:`WALSessionStore` — an append-only JSONL write-ahead log on
   disk.  Each record carries an LSN and a content checksum; recovery
   tolerates a *torn* final record (power loss mid-append) by truncating
@@ -80,21 +80,23 @@ class InMemorySessionStore(SessionStore):
     Survives a *service* crash (``TNWebService.crash()`` drops volatile
     session state but not the store object) — the moral equivalent of a
     database reachable from a restarted node — but not a process exit.
+
+    The journal holds the appended elements themselves, unserialized:
+    the checkpoint machinery builds a fresh element per append and
+    never mutates it afterwards.  :class:`WALSessionStore` is the
+    serializing backend.
     """
 
     def __init__(self, name: str = "session-journal") -> None:
         self.name = name
-        self._journal: list[tuple[str, str]] = []
+        self._journal: list[tuple[str, ET.Element]] = []
         self.torn_discarded = 0
 
     def append(self, session_id: str, element: ET.Element) -> None:
-        self._journal.append((session_id, canonicalize(element)))
+        self._journal.append((session_id, element))
 
     def latest(self) -> dict[str, ET.Element]:
-        state: dict[str, ET.Element] = {}
-        for session_id, xml in self._journal:
-            state[session_id] = parse_xml(xml)
-        return state
+        return dict(self._journal)
 
     def records(self) -> int:
         return len(self._journal)

@@ -238,6 +238,43 @@ class TestMigration:
         with pytest.raises(ServiceError):
             cluster.migrate_session(nid, target)
 
+    def test_migration_adopts_the_phase_restart_recovers(self, parties):
+        """Migration and restart read the same journal, so a torn
+        policy checkpoint sends both back to the start record."""
+        requester, controller = parties
+        phases = {}
+        for path in ("restart", "migrate"):
+            transport = SimTransport()
+            with ShardedTNService(
+                controller, transport, url="urn:tn", shards=3,
+                agents={requester.name: requester},
+            ) as cluster:
+                nid = start_and_policy(transport, requester)
+                victim = cluster.placement_index(nid)
+                assert cluster.tear_wal(victim)  # policy checkpoint torn
+                cluster.kill_node(victim)
+                if path == "restart":
+                    service = cluster.restart_node(victim)
+                    phases[path] = service.sessions()[nid].phase
+                else:
+                    target = (victim + 1) % 3
+                    session = cluster.migrate_session(nid, target)
+                    assert cluster.placement_index(nid) == target
+                    phases[path] = session.phase
+        assert phases == {"restart": "started", "migrate": "started"}
+
+    def test_migrate_without_journal_record_raises(self, cluster_fixture):
+        transport, cluster, requester, _ = cluster_fixture
+        start = transport.call("urn:tn", "StartNegotiation", {
+            "requester": requester, "strategy": "standard",
+        })
+        nid = start["negotiationId"]
+        source = cluster.placement_index(nid)
+        assert cluster.tear_wal(source)  # the only record of nid
+        with pytest.raises(ServiceError):
+            cluster.migrate_session(nid, (source + 1) % 3)
+        assert cluster.placement_index(nid) == source
+
 
 class TestDurableState:
     def test_wal_dir_persists_per_shard_journals(self, parties, tmp_path):

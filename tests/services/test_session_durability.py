@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ErrorCode, ServiceError
 from repro.hardening.config import HardeningConfig
 from repro.services.tn_client import TNClient
-from repro.services.tn_service import SESSION_COLLECTION, TNWebService
+from repro.services.tn_service import TNWebService
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
 from repro.storage.session_store import InMemorySessionStore, WALSessionStore
@@ -76,7 +76,9 @@ class TestJournalling:
         assert element.get("phase") == "exchange"
         assert element.find("outcome") is not None
 
-    def test_journal_mirrors_document_store(self, parties, make_session_store):
+    def test_journal_is_the_only_copy(self, parties, make_session_store):
+        """Checkpoints go to the journal alone: the document store keeps
+        the owner's policies and credentials, no ``sessions``."""
         requester, controller = parties
         transport = SimTransport()
         session_store = make_session_store()
@@ -84,8 +86,8 @@ class TestJournalling:
         TNWebService(controller, transport, store, "urn:tn",
                      session_store=session_store)
         nid = run_policy_phase(transport, requester)
-        assert store.get(SESSION_COLLECTION, nid).get("phase") == "policy"
         assert session_store.latest()[nid].get("phase") == "policy"
+        assert store.collections() == ["credentials", "policies"]
 
 
 class TestCrashRecovery:

@@ -6,11 +6,7 @@ import pytest
 from repro.errors import SessionError, TransportError
 from repro.negotiation.cache import SequenceCache
 from repro.services.tn_client import TNClient
-from repro.services.tn_service import (
-    NegotiationSession,
-    SESSION_COLLECTION,
-    TNWebService,
-)
+from repro.services.tn_service import NegotiationSession, TNWebService
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
 from tests.conftest import ISSUE_AT, NEGOTIATION_AT
@@ -54,24 +50,18 @@ class TestCheckpoints:
     def test_checkpoint_written_per_operation(self, parties):
         requester, controller = parties
         transport = SimTransport()
-        store = XMLDocumentStore("tn")
-        TNWebService(controller, transport, store, "urn:tn")
+        service = TNWebService(controller, transport,
+                               XMLDocumentStore("tn"), "urn:tn")
         nid = run_policy_phase(transport, requester)
-        assert store.count(SESSION_COLLECTION) == 1
-        element = store.get(SESSION_COLLECTION, nid)
+        # one record per operation: start, policy
+        assert service.session_store.records() == 2
+        latest = service.session_store.latest()
+        assert list(latest) == [nid]
+        element = latest[nid]
         assert element.get("phase") == "policy"
         assert element.get("requester") == "AerospaceCo"
         assert element.get("policyBilled") == "true"
         assert element.find("outcome") is not None
-
-    def test_checkpoints_can_be_disabled(self, parties):
-        requester, controller = parties
-        transport = SimTransport()
-        store = XMLDocumentStore("tn")
-        TNWebService(controller, transport, store, "urn:tn",
-                     checkpoints=False)
-        run_policy_phase(transport, requester)
-        assert store.count(SESSION_COLLECTION) == 0
 
 
 class TestCrashRestore:
@@ -100,6 +90,7 @@ class TestCrashRestore:
         restored = TNWebService.restore(
             controller, transport, store, "urn:tn",
             agents={requester.name: requester},
+            session_store=service.session_store,
         )
         assert nid in restored.sessions()
         exchange = transport.call("urn:tn", "CredentialExchange", {
@@ -124,6 +115,7 @@ class TestCrashRestore:
         service.crash()
         restored = TNWebService.restore(
             controller, transport, store, "urn:tn", agents={},
+            session_store=service.session_store,
         )
         exchange = transport.call("urn:tn", "CredentialExchange", {
             "negotiationId": nid,
@@ -145,7 +137,8 @@ class TestCrashRestore:
         })
         nid = start["negotiationId"]
         service.crash()
-        TNWebService.restore(controller, transport, store, "urn:tn")
+        TNWebService.restore(controller, transport, store, "urn:tn",
+                             session_store=service.session_store)
         with pytest.raises(SessionError):
             transport.call("urn:tn", "PolicyExchange", {
                 "negotiationId": nid, "resource": "VoMembership",
@@ -162,6 +155,7 @@ class TestCrashRestore:
         TNWebService.restore(
             controller, transport, store, "urn:tn",
             agents={requester.name: requester},
+            session_store=service.session_store,
         )
         fresh = transport.call("urn:tn", "StartNegotiation", {
             "requester": requester, "strategy": "standard",
@@ -273,8 +267,10 @@ class TestCloseLifecycle:
         start = transport.call("urn:tn", "StartNegotiation", {
             "requester": requester, "strategy": "standard",
         })
+        records = service.session_store.records()
         service.close()
-        element = store.get(SESSION_COLLECTION, start["negotiationId"])
+        assert service.session_store.records() == records + 1
+        element = service.session_store.latest()[start["negotiationId"]]
         assert element.get("phase") == "started"
 
     def test_context_manager_closes(self, parties):
@@ -303,7 +299,7 @@ class TestSessionSerialization:
         store = XMLDocumentStore("tn")
         service = TNWebService(controller, transport, store, "urn:tn")
         nid = run_policy_phase(transport, requester)
-        element = store.get(SESSION_COLLECTION, nid)
+        element = service.session_store.latest()[nid]
         session = TNWebService._session_from_xml(
             element, {requester.name: requester}
         )
