@@ -41,7 +41,7 @@ from repro.negotiation.outcomes import (
     TranscriptEvent,
 )
 from repro.negotiation.sequence import TrustSequence
-from repro.negotiation.tree import NegotiationTree, NodeStatus, TreeNode
+from repro.negotiation.tree import NegotiationTree, NodeStatus, TreeNode, View
 from repro.trust import trust_epoch
 
 __all__ = [
@@ -80,7 +80,7 @@ OP_VERIFY_DISCLOSURE = "verify_disclosure"
 OP_ENSURE_NOT_REVOKED = "ensure_disclosure_not_revoked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentOp:
     """One effect the core asks its driver to fulfil.
 
@@ -143,10 +143,7 @@ def record_outcome_obs(resource: str, result: NegotiationResult) -> None:
     obs_observe("negotiation.disclosures", result.disclosures)
     if result.tree is not None:
         obs_observe("negotiation.tree_nodes", len(result.tree))
-        obs_observe(
-            "negotiation.tree_depth",
-            max((node.depth for node in result.tree.nodes()), default=0),
-        )
+        obs_observe("negotiation.tree_depth", result.tree.depth)
     if not result.success:
         obs_event(
             "negotiation.failure",
@@ -179,6 +176,20 @@ class NegotiationCore:
     # Per-run state, rebuilt by run().
     tree: NegotiationTree = field(init=False, repr=False, default=None)
     transcript: list = field(init=False, repr=False, default_factory=list)
+    #: Credential behind each edge a term node was expanded through.
+    _edge_credentials: dict[int, str] = field(
+        init=False, repr=False, default_factory=dict
+    )
+    #: Per node: the credential of its first satisfiable edge.
+    _fallback_credentials: dict[int, str] = field(
+        init=False, repr=False, default_factory=dict
+    )
+    #: Each party's strategy, fetched once per run.
+    _strategies: dict[str, Any] = field(
+        init=False, repr=False, default_factory=dict
+    )
+    #: The view the exchange phase follows.
+    _view: Optional[View] = field(init=False, repr=False, default=None)
 
     def _counterpart(self, party: str) -> str:
         return self.controller if party == self.requester else self.requester
@@ -198,10 +209,11 @@ class NegotiationCore:
         """
         at = at or DEFAULT_NEGOTIATION_TIME
         self.tree = NegotiationTree(resource, self.controller)
-        self._edge_credentials: dict[int, str] = {}
-        self._fallback_credentials: dict[int, str] = {}
+        self._edge_credentials = {}
+        self._fallback_credentials = {}
         self.transcript = []
-        self._strategies: dict[str, Any] = {}
+        self._strategies = {}
+        self._view = None
         if self.requester == self.controller:
             return self._failure(
                 resource, FailureReason.PROTOCOL,
@@ -247,9 +259,8 @@ class NegotiationCore:
             )
 
         # Statuses are final once propagate() returns, so the per-node
-        # fallback credential (first satisfiable edge carrying one) can
-        # be computed once here instead of re-scanning satisfiable_edges
-        # for every node of every view enumerated below.
+        # fallback credential (first satisfiable edge carrying one) is
+        # computed once here for every view enumerated below.
         self._build_fallback_credentials()
 
         with obs_span(
@@ -438,8 +449,8 @@ class NegotiationCore:
 
     def _build_fallback_credentials(self) -> None:
         """Precompute, for every node satisfied through an edge, the
-        credential of its first satisfiable edge (insertion order —
-        the same edge the old per-call scan would have found)."""
+        credential of its first satisfiable edge in insertion order,
+        read from the tree's record of satisfiable edges."""
         self._fallback_credentials = {}
         if not self._edge_credentials:
             return

@@ -110,7 +110,7 @@ class NegotiationEngine:
         result = drive(core.run(resource, at), agents)
         self._tree = core.tree
         self._transcript = core.transcript
-        self._edge_credentials = getattr(core, "_edge_credentials", {})
+        self._edge_credentials = core._edge_credentials
         return result
 
 

@@ -61,7 +61,7 @@ UNSATISFIABLE_REASONS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEvent:
     """One step of the negotiation, for inspection and debugging."""
 

@@ -57,7 +57,7 @@ class EdgeKind(Enum):
     MULTI = "multi"
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One term (or the root resource) of the negotiation tree."""
 
@@ -76,7 +76,7 @@ class TreeNode:
         return self.term is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyEdge:
     """One policy rule linking a node to the body terms' nodes."""
 
@@ -142,20 +142,18 @@ class NegotiationTree:
         self._edges: dict[int, PolicyEdge] = {}
         self._edges_by_parent: dict[int, list[int]] = {}
         self._parent_of: dict[int, int] = {}
-        self.root_id = self._add_node(
-            owner=controller, label=resource, term=None, depth=0
+        #: Each expanded node's satisfiable edges in insertion order, as
+        #: recorded by the last propagate().
+        self._satisfiable: dict[int, list[PolicyEdge]] = {}
+        #: Depth of the deepest node, kept as nodes are added.
+        self.depth = 0
+        self.root_id = next(self._ids)
+        self._nodes[self.root_id] = TreeNode(
+            node_id=self.root_id, owner=controller, label=resource,
+            term=None, depth=0,
         )
 
     # -- construction -----------------------------------------------------------
-
-    def _add_node(
-        self, owner: str, label: str, term: Optional[Term], depth: int
-    ) -> int:
-        node_id = next(self._ids)
-        self._nodes[node_id] = TreeNode(
-            node_id=node_id, owner=owner, label=label, term=term, depth=depth
-        )
-        return node_id
 
     def add_policy_edge(
         self, parent_id: int, policy: DisclosurePolicy, child_owner: str
@@ -164,29 +162,32 @@ class NegotiationTree:
 
         Creates one child node per body term, owned by ``child_owner``
         (the counterpart of the parent's owner), linked together as a
-        multiedge when the rule has several terms.
+        multiedge when the rule has several terms.  Children get ids
+        above every existing node, so a child's id always exceeds its
+        parent's — the order :meth:`propagate` relies on.
         """
         parent = self.node(parent_id)
-        children = tuple(
-            self._add_node(
-                owner=child_owner,
-                label=term.name,
-                term=term,
-                depth=parent.depth + 1,
-            )
-            for term in policy.terms
-        )
-        if not children:
+        if not policy.terms:
             raise NegotiationError(
                 f"policy {policy.policy_id} has no terms to expand "
                 f"(delivery rules mark nodes DELIVERABLE instead)"
             )
-        edge_id = next(self._edge_ids)
-        edge = PolicyEdge(edge_id, parent_id, children, policy)
-        self._edges[edge_id] = edge
-        self._edges_by_parent.setdefault(parent_id, []).append(edge_id)
-        for child in children:
-            self._parent_of[child] = parent_id
+        depth = parent.depth + 1
+        children = []
+        for term in policy.terms:
+            node_id = next(self._ids)
+            self._nodes[node_id] = TreeNode(
+                node_id, child_owner, term.name, term, depth
+            )
+            self._parent_of[node_id] = parent_id
+            children.append(node_id)
+        if depth > self.depth:
+            self.depth = depth
+        edge = PolicyEdge(
+            next(self._edge_ids), parent_id, tuple(children), policy
+        )
+        self._edges[edge.edge_id] = edge
+        self._edges_by_parent.setdefault(parent_id, []).append(edge.edge_id)
         return edge
 
     # -- access -------------------------------------------------------------------
@@ -242,42 +243,45 @@ class NegotiationTree:
     # -- satisfiability propagation -------------------------------------------------
 
     def propagate(self) -> bool:
-        """Recompute SATISFIABLE statuses bottom-up.
+        """Recompute SATISFIABLE statuses bottom-up, in one pass.
 
         A node is satisfiable when it is DELIVERABLE, or when at least
         one outgoing edge has *all* children satisfiable ("nodes
-        belonging to a multiedge are considered as a whole").  Returns
-        True when the root is satisfiable.
+        belonging to a multiedge are considered as a whole").  A child's
+        id always exceeds its parent's, so visiting the expanded nodes
+        in reverse id order settles every child before its parent and
+        checks each edge once.  The pass records each node's satisfiable
+        edges, in insertion order, for :meth:`satisfiable_edges` and the
+        views.  Statuses only upgrade: an OPEN node may become
+        SATISFIABLE, and no status is ever cleared.  Returns True when
+        the root is satisfiable.
         """
-        changed = True
-        passes = 0
-        while changed:
-            changed = False
-            passes += 1
-            for node in self._nodes.values():
-                if node.status in (NodeStatus.DELIVERABLE, NodeStatus.UNSATISFIABLE):
-                    continue
-                for edge in self.edges_from(node.node_id):
-                    children = [self.node(child) for child in edge.children]
-                    if all(child.status.is_satisfiable for child in children):
-                        if node.status is not NodeStatus.SATISFIABLE:
-                            node.status = NodeStatus.SATISFIABLE
-                            changed = True
-                        break
+        nodes = self._nodes
+        edges = self._edges
+        record: dict[int, list[PolicyEdge]] = {}
+        for node_id in sorted(self._edges_by_parent, reverse=True):
+            satisfiable = []
+            for edge_id in self._edges_by_parent[node_id]:
+                edge = edges[edge_id]
+                if all(
+                    nodes[child].status.is_satisfiable
+                    for child in edge.children
+                ):
+                    satisfiable.append(edge)
+            record[node_id] = satisfiable
+            node = nodes[node_id]
+            if satisfiable and node.status is NodeStatus.OPEN:
+                node.status = NodeStatus.SATISFIABLE
+        self._satisfiable = record
         if obs_enabled():
-            obs_observe("tree.propagate_passes", passes)
-            obs_observe("tree.nodes", len(self._nodes))
+            obs_observe("tree.nodes_rechecked", len(record))
+            obs_observe("tree.nodes", len(nodes))
         return self.root.status.is_satisfiable
 
     def satisfiable_edges(self, node_id: int) -> list[PolicyEdge]:
-        return [
-            edge
-            for edge in self.edges_from(node_id)
-            if all(
-                self.node(child).status.is_satisfiable
-                for child in edge.children
-            )
-        ]
+        """The edges of ``node_id`` whose children are all satisfiable,
+        in insertion order, as of the last :meth:`propagate`."""
+        return list(self._satisfiable.get(node_id, ()))
 
     # -- views -------------------------------------------------------------------
 
@@ -286,7 +290,8 @@ class NegotiationTree:
 
         Greedy: at each satisfiable (non-deliverable) node pick the
         first satisfiable edge in insertion order — i.e. the first
-        alternative the counterpart offered.
+        alternative the counterpart offered.  Like :meth:`iter_views`,
+        it reads the edges recorded by the last :meth:`propagate`.
         """
         if not self.root.status.is_satisfiable:
             return None
@@ -297,7 +302,7 @@ class NegotiationTree:
             node = self.node(node_id)
             if node.status is NodeStatus.DELIVERABLE:
                 continue
-            edges = self.satisfiable_edges(node_id)
+            edges = self._satisfiable.get(node_id)
             if not edges:
                 return None  # pragma: no cover - propagate() guards this
             chosen[node_id] = edges[0].edge_id
@@ -313,17 +318,7 @@ class NegotiationTree:
         if not self.root.status.is_satisfiable:
             return
         emitted = 0
-        # Statuses do not change during enumeration, so each node's
-        # satisfiable-edge list is computed once per pass instead of
-        # once per partial view that revisits the node.
-        satisfiable_memo: dict[int, list[PolicyEdge]] = {}
-
-        def edges_of(node_id: int) -> list[PolicyEdge]:
-            edges = satisfiable_memo.get(node_id)
-            if edges is None:
-                edges = self.satisfiable_edges(node_id)
-                satisfiable_memo[node_id] = edges
-            return edges
+        satisfiable = self._satisfiable
 
         def expand(
             node_ids: tuple[int, ...], chosen: dict[int, int]
@@ -336,7 +331,7 @@ class NegotiationTree:
             if node.status is NodeStatus.DELIVERABLE:
                 yield from expand(rest, chosen)
                 return
-            for edge in edges_of(head):
+            for edge in satisfiable.get(head, ()):
                 chosen[head] = edge.edge_id
                 yield from expand(rest + edge.children, chosen)
                 del chosen[head]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import PolicyError
 from repro.policy.groups import GroupCondition
@@ -75,6 +76,12 @@ class DisclosurePolicy:
 
     def dsl(self) -> str:
         """Render back to the paper's rule notation."""
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> str:
+        # Rendered once per policy object: policies are immutable and
+        # shared by every negotiation that attaches them to a tree.
         if self.deliver:
             return f"{self.target.dsl()} <- DELIV"
         body = ", ".join(term.dsl() for term in self.terms)

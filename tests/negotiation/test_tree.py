@@ -1,6 +1,7 @@
 """The negotiation tree (paper Fig. 2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NegotiationError
 from repro.negotiation.tree import EdgeKind, NegotiationTree, NodeStatus
@@ -160,3 +161,197 @@ class TestViews:
         tree.propagate()
         nodes = tree.first_view().nodes()
         assert nodes[0].is_root
+
+
+# -- reference oracle ------------------------------------------------------------
+#
+# The fixed-point search propagate() used before it became one bottom-up
+# pass, and the view builders that rescanned each node's edges against
+# the live statuses.  The single pass must agree with them on every
+# tree, including after statuses are edited and propagate() runs again.
+
+
+def reference_propagate(tree: NegotiationTree) -> bool:
+    changed = True
+    while changed:
+        changed = False
+        for node in tree.nodes():
+            if node.status in (
+                NodeStatus.DELIVERABLE, NodeStatus.UNSATISFIABLE
+            ):
+                continue
+            for edge in tree.edges_from(node.node_id):
+                children = [tree.node(child) for child in edge.children]
+                if all(child.status.is_satisfiable for child in children):
+                    if node.status is not NodeStatus.SATISFIABLE:
+                        node.status = NodeStatus.SATISFIABLE
+                        changed = True
+                    break
+    return tree.root.status.is_satisfiable
+
+
+def reference_satisfiable_edges(tree: NegotiationTree, node_id: int):
+    return [
+        edge
+        for edge in tree.edges_from(node_id)
+        if all(
+            tree.node(child).status.is_satisfiable
+            for child in edge.children
+        )
+    ]
+
+
+def reference_first_view(tree: NegotiationTree):
+    if not tree.root.status.is_satisfiable:
+        return None
+    chosen = {}
+    stack = [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        if tree.node(node_id).status is NodeStatus.DELIVERABLE:
+            continue
+        edges = reference_satisfiable_edges(tree, node_id)
+        if not edges:
+            return None
+        chosen[node_id] = edges[0].edge_id
+        stack.extend(edges[0].children)
+    return chosen
+
+
+def reference_views(tree: NegotiationTree, limit: int) -> list:
+    if not tree.root.status.is_satisfiable:
+        return []
+
+    def expand(node_ids, chosen):
+        if not node_ids:
+            yield dict(chosen)
+            return
+        head, rest = node_ids[0], node_ids[1:]
+        if tree.node(head).status is NodeStatus.DELIVERABLE:
+            yield from expand(rest, chosen)
+            return
+        for edge in reference_satisfiable_edges(tree, head):
+            chosen[head] = edge.edge_id
+            yield from expand(rest + edge.children, chosen)
+            del chosen[head]
+
+    views = []
+    for mapping in expand((tree.root_id,), {}):
+        views.append(mapping)
+        if len(views) >= limit:
+            break
+    return views
+
+
+_LEAF_STATUSES = [
+    NodeStatus.DELIVERABLE, NodeStatus.UNSATISFIABLE, NodeStatus.OPEN
+]
+_MAX_DEPTH = 5
+_MAX_NODES = 48
+
+
+@st.composite
+def tree_plans(draw):
+    """A random tree as a replayable plan.
+
+    Expansions pick any open frontier node (not only breadth-first), and
+    each adds 1-3 alternative edges (OR) of 1-3 children (multiedges).
+    Nodes left unexpanded get a leaf status; edits later overwrite
+    statuses of any node, interior ones included.
+    """
+    depths = [0]
+    frontier = [0]
+    expansions = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        if not frontier or len(depths) >= _MAX_NODES:
+            break
+        parent = frontier.pop(
+            draw(st.integers(min_value=0, max_value=len(frontier) - 1))
+        )
+        if depths[parent] >= _MAX_DEPTH:
+            continue
+        arities = draw(st.lists(
+            st.integers(min_value=1, max_value=3), min_size=1, max_size=3
+        ))
+        for arity in arities:
+            frontier.extend(range(len(depths), len(depths) + arity))
+            depths.extend([depths[parent] + 1] * arity)
+        expansions.append((parent, arities))
+    leaf_statuses = draw(st.lists(
+        st.sampled_from(_LEAF_STATUSES),
+        min_size=len(depths), max_size=len(depths),
+    ))
+    edits = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(depths) - 1),
+            st.sampled_from(list(NodeStatus)),
+        ),
+        max_size=4,
+    ))
+    return expansions, leaf_statuses, edits
+
+
+def build_tree(expansions, leaf_statuses) -> NegotiationTree:
+    tree = NegotiationTree("R", "ctrl")
+    for parent, arities in expansions:
+        owner = "req" if tree.node(parent).owner == "ctrl" else "ctrl"
+        for arity in arities:
+            body = ", ".join(f"T{index}" for index in range(arity))
+            tree.add_policy_edge(
+                parent, parse_policy(f"X <- {body}"), owner
+            )
+    expanded = {edge.parent for edge in tree.edges()}
+    for node in tree.nodes():
+        if node.node_id not in expanded:
+            node.status = leaf_statuses[node.node_id]
+    return tree
+
+
+def assert_agrees_with_reference(
+    tree: NegotiationTree, reference: NegotiationTree, limit: int
+) -> None:
+    assert tree.propagate() == reference_propagate(reference)
+    assert [node.status for node in tree.nodes()] == [
+        node.status for node in reference.nodes()
+    ]
+    for node in tree.nodes():
+        assert [edge.edge_id for edge in tree.satisfiable_edges(
+            node.node_id
+        )] == [
+            edge.edge_id
+            for edge in reference_satisfiable_edges(reference, node.node_id)
+        ]
+    view = tree.first_view()
+    assert (view.chosen_edges if view else None) == reference_first_view(
+        reference
+    )
+    assert [
+        view.chosen_edges for view in tree.iter_views(limit)
+    ] == reference_views(reference, limit)
+
+
+class TestSinglePassMatchesFixedPoint:
+    @settings(max_examples=300, deadline=None)
+    @given(plan=tree_plans(), limit=st.integers(min_value=1, max_value=16))
+    def test_statuses_and_views_match_reference(self, plan, limit):
+        expansions, leaf_statuses, edits = plan
+        tree = build_tree(expansions, leaf_statuses)
+        reference = build_tree(expansions, leaf_statuses)
+        assert tree.depth == max(node.depth for node in tree.nodes())
+        assert_agrees_with_reference(tree, reference, limit)
+        # Edit statuses, then propagate again: statuses only upgrade.
+        for node_id, status in edits:
+            tree.node(node_id).status = status
+            reference.node(node_id).status = status
+        assert_agrees_with_reference(tree, reference, limit)
+
+    def test_satisfiable_node_is_not_downgraded(self, fig2_tree):
+        tree, quality_node, edge_a, edge_b = fig2_tree
+        tree.node(edge_a.children[0]).status = NodeStatus.DELIVERABLE
+        tree.node(edge_b.children[0]).status = NodeStatus.UNSATISFIABLE
+        assert tree.propagate()
+        tree.node(edge_a.children[0]).status = NodeStatus.UNSATISFIABLE
+        assert tree.propagate()
+        assert tree.node(quality_node).status is NodeStatus.SATISFIABLE
+        assert tree.satisfiable_edges(quality_node) == []
+        assert tree.first_view() is None

@@ -59,12 +59,22 @@ class TestNegotiationInstrumentation:
     def test_negotiation_metrics_recorded(self, example2_sensitive):
         aero, aircraft = example2_sensitive
         obs.enable()
-        negotiate(aero, aircraft, "VoMembership", at=NEGOTIATION_AT)
+        result = negotiate(
+            aero, aircraft, "VoMembership", at=NEGOTIATION_AT
+        )
         metrics = obs.metrics()
         assert metrics["negotiation.runs"]["value"] == 1
         assert metrics["negotiation.successes"]["value"] == 1
         assert metrics["negotiation.policy_messages"]["count"] == 1
         assert metrics["negotiation.tree_nodes"]["min"] >= 1
+        assert metrics["negotiation.tree_depth"]["max"] == max(
+            node.depth for node in result.tree.nodes()
+        )
+        # One bottom-up pass checks every expanded node once.
+        assert metrics["tree.nodes_rechecked"]["count"] == 1
+        assert metrics["tree.nodes_rechecked"]["max"] == len({
+            edge.parent for edge in result.tree.edges()
+        })
 
     def test_sensitive_disclosure_event_is_redacted(
         self, example2_sensitive,
