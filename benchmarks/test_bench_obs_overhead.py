@@ -1,60 +1,34 @@
 """Observability overhead — the zero-cost-when-disabled contract.
 
-Two measurements behind the ``repro.obs`` layer, reported to
-``BENCH_obs.json`` at the repo root:
+**Instrumentation overhead** (real wall-clock), reported to
+``BENCH_obs.json`` at the repo root: the repeat-negotiation workload
+timed with observability disabled (the baseline every other benchmark
+pays: one module-flag branch per instrumentation site) versus fully
+enabled (spans + metrics + events recording).  Enabled must stay
+within 10% of disabled.  Each mode is timed in alternating rounds and
+the per-mode minimum is kept, which discards scheduler noise.
 
-1. **Instrumentation overhead** (real wall-clock): the repeat-
-   negotiation workload timed with observability disabled (the
-   baseline every other benchmark pays: one module-flag branch per
-   instrumentation site) versus fully enabled (spans + metrics +
-   events recording).  Enabled must stay within 10% of disabled
-   (25% under ``BENCH_QUICK=1``, where the sample is too small to
-   gate tightly).  Each mode is timed in alternating rounds and the
-   per-mode minimum is kept, which discards scheduler noise.
-
-2. **Trace artifact**: an instrumented parallel formation whose
-   merged trace is validated (one root, no orphans) and written to
-   ``BENCH_trace.json`` in Chrome Trace Event Format — the CI
-   artifact you can drop into ``chrome://tracing`` / Perfetto.
+The instrumented formation trace artifact (``BENCH_trace.json``) is a
+section of ``benchmarks/test_schedule.py``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from benchmarks.conftest import print_series
 from repro import obs
 from repro.negotiation.engine import negotiate
-from repro.obs import validate_trace
-from repro.scenario.workloads import bushy_workload, formation_workload
+from repro.scenario.workloads import bushy_workload
 
-QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-ALTERNATIVES = 32 if QUICK else 128
-REPEATS = 15 if QUICK else 100
+ALTERNATIVES = 128
+REPEATS = 100
 ROUNDS = 3
-FORMATION_ROLES = 4 if QUICK else 8
-MAX_OVERHEAD = 1.25 if QUICK else 1.10
+MAX_OVERHEAD = 1.10
 
-ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = ROOT / "BENCH_obs.json"
-TRACE_PATH = ROOT / "BENCH_trace.json"
-
-
-def _merge_report(section: str, payload: dict) -> None:
-    report = {}
-    if REPORT_PATH.exists():
-        try:
-            report = json.loads(REPORT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report["quick_mode"] = QUICK
-    payload["quick"] = QUICK
-    report[section] = payload
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
 def _timed_negotiations(fixture) -> float:
@@ -105,47 +79,11 @@ def test_bench_obs_overhead():
         ],
         ("mode", "seconds (min of rounds)", "notes"),
     )
-    _merge_report("instrumentation_overhead", metrics)
+    REPORT_PATH.write_text(
+        json.dumps({"instrumentation_overhead": metrics}, indent=2) + "\n"
+    )
     assert ratio < MAX_OVERHEAD, (
         f"observability overhead {ratio:.3f}x exceeds the "
         f"{MAX_OVERHEAD}x budget"
     )
 
-
-def test_bench_trace_artifact():
-    fixture = formation_workload(FORMATION_ROLES)
-    obs.enable()
-    edition = fixture.initiator_edition
-    edition.create_vo(fixture.contract)
-    edition.enable_trust_negotiation()
-    outcome = edition.execute_formation(fixture.plans(), parallel=True)
-    obs.disable()
-
-    assert len(outcome.joined) == FORMATION_ROLES
-    spans = obs.spans()
-    formation = next(s for s in spans if s.name == "vo.formation")
-    members = [s for s in spans if s.trace_id == formation.trace_id]
-    report = validate_trace(members)
-    assert len(report["roots"]) == 1
-    assert report["orphans"] == []
-
-    trace = obs.to_chrome_trace(members)
-    TRACE_PATH.write_text(json.dumps(trace, indent=1) + "\n")
-    _merge_report("trace_artifact", {
-        "roles": FORMATION_ROLES,
-        "spans": report["spans"],
-        "traces": report["traces"],
-        "critical_path_ms": round(outcome.critical_path_ms, 3),
-        "serial_ms": round(outcome.serial_ms, 3),
-        "artifact": TRACE_PATH.name,
-    })
-    print_series(
-        f"Observability: {FORMATION_ROLES}-role formation trace artifact",
-        [
-            ("spans", report["spans"]),
-            ("roots", len(report["roots"])),
-            ("orphans", len(report["orphans"])),
-            ("critical path (ms)", round(outcome.critical_path_ms, 1)),
-        ],
-        ("measure", "value"),
-    )

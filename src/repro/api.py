@@ -92,12 +92,7 @@ from repro.ontology import (
     ontology_to_owl,
 )
 from repro.ontology.builtin import aerospace_reference_ontology
-from repro.perf import (
-    all_stats as perf_cache_stats,
-    caches_disabled,
-    clear_all_caches,
-    set_caches_enabled,
-)
+from repro.perf import all_stats as perf_cache_stats, clear_all_caches
 from repro.policy import (
     ComplianceChecker,
     DisclosurePolicy,
@@ -327,9 +322,7 @@ __all__ = [
     "run_soak",
     # perf
     "perf_cache_stats",
-    "caches_disabled",
     "clear_all_caches",
-    "set_caches_enabled",
     # nonmonotonic trust
     "TrustBus",
     "TrustEvent",
@@ -398,16 +391,10 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class PerfConfig:
-    """Performance-layer knobs (PR 2's caches), applied explicitly."""
+    """Performance-layer knobs."""
 
-    #: Master switch for the process-wide XML/crypto caches.
-    caches_enabled: bool = True
     #: Capacity of sequence caches built by :meth:`sequence_cache`.
     sequence_cache_capacity: int = 1024
-
-    def apply(self) -> None:
-        """Apply the cache switch process-wide."""
-        set_caches_enabled(self.caches_enabled)
 
     def sequence_cache(self) -> SequenceCache:
         """A fresh trust-sequence cache sized by this config."""

@@ -59,12 +59,6 @@ Commands:
     Verify a hash-chained audit log (``repro.obs.audit``): recompute
     the event hash chain and every Merkle epoch commitment.  Exits
     non-zero when verification fails.
-
-``aio``
-    Drive N concurrent negotiation sessions against one TN Web service
-    as ``TNClient.anegotiate`` tasks and, for comparison, through a
-    thread-pool of sync clients — printing peak in-flight sessions,
-    per-session simulated latency, and wall-clock throughput for each.
 """
 
 from __future__ import annotations
@@ -449,93 +443,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_aio(args: argparse.Namespace) -> int:
-    import asyncio
-    import time
-    from multiprocessing.pool import ThreadPool
-
-    from repro.scenario.workloads import capacity_workload
-    from repro.services.tn_client import TNClient
-    from repro.services.tn_service import TNWebService
-    from repro.services.transport import SimTransport
-    from repro.storage.document_store import XMLDocumentStore
-
-    fixture = capacity_workload(min(args.sessions, 32))
-    at = fixture.negotiation_time()
-    rows = []
-
-    def deploy(name: str) -> tuple[SimTransport, TNWebService]:
-        transport = SimTransport()
-        service = TNWebService(
-            fixture.controller, transport, XMLDocumentStore(name),
-            "urn:tn-aio-demo",
-        )
-        return transport, service
-
-    def client(transport: SimTransport, index: int) -> TNClient:
-        agent = fixture.requesters[index % len(fixture.requesters)]
-        return TNClient(transport, "urn:tn-aio-demo", agent)
-
-    def run_threads() -> None:
-        transport, service = deploy("cli-aio-threads")
-
-        def one(index: int) -> float:
-            with transport.clock_branch() as branch:
-                begin = branch.elapsed_ms
-                result = client(transport, index).negotiate(
-                    fixture.resource, at=at
-                )
-                assert result.success, result.failure_detail
-                return branch.elapsed_ms - begin
-
-        started = time.perf_counter()
-        with ThreadPool(args.workers) as pool:
-            deltas = pool.map(one, range(args.sessions))
-        rows.append((
-            f"thread-pool ({args.workers} workers)",
-            service.in_flight_peak, max(deltas),
-            time.perf_counter() - started,
-        ))
-        service.close()
-
-    def run_asyncio() -> None:
-        transport, service = deploy("cli-aio-loop")
-
-        async def one(index: int) -> float:
-            with transport.clock_branch() as branch:
-                begin = branch.elapsed_ms
-                result = await client(transport, index).anegotiate(
-                    fixture.resource, at=at
-                )
-                assert result.success, result.failure_detail
-                return branch.elapsed_ms - begin
-
-        async def gather() -> list:
-            return list(await asyncio.gather(
-                *(one(index) for index in range(args.sessions))
-            ))
-
-        started = time.perf_counter()
-        deltas = asyncio.run(gather())
-        rows.append((
-            "asyncio (TNClient.anegotiate)",
-            service.in_flight_peak, max(deltas),
-            time.perf_counter() - started,
-        ))
-        service.close()
-
-    run_threads()
-    run_asyncio()
-    print(f"{args.sessions} concurrent sessions against one TN service")
-    print(f"{'driver':32} {'peak in-flight':>14} {'sim ms max':>11} "
-          f"{'wall s':>8}")
-    for label, peak, sim_max, seconds in rows:
-        print(f"{label:32} {peak:>14} {sim_max:>11.1f} {seconds:>8.3f}")
-    ratio = rows[1][1] / max(1, rows[0][1])
-    print(f"capacity ratio (asyncio / threads): {ratio:.1f}x")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -674,14 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="print the verification report as JSON")
     audit_parser.set_defaults(func=_cmd_audit)
 
-    aio_parser = sub.add_parser(
-        "aio", help="compare asyncio vs thread-pool session capacity"
-    )
-    aio_parser.add_argument("--sessions", type=int, default=64,
-                            help="concurrent sessions to open (default 64)")
-    aio_parser.add_argument("--workers", type=int, default=8,
-                            help="thread-pool width (default 8)")
-    aio_parser.set_defaults(func=_cmd_aio)
     return parser
 
 

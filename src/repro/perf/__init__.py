@@ -1,4 +1,4 @@
-"""Performance layer: bounded caches, counters, and the ablation switch.
+"""Performance layer: bounded caches and their counters.
 
 See :mod:`repro.perf.caches` for the design notes.  This package must
 not import from any other ``repro`` subpackage — every layer of the
@@ -14,11 +14,8 @@ from repro.perf.caches import (
     LRUCache,
     all_caches,
     all_stats,
-    caches_disabled,
-    caches_enabled,
     clear_all_caches,
     drop_issuer_signatures,
-    set_caches_enabled,
 )
 
 __all__ = [
@@ -27,9 +24,6 @@ __all__ = [
     "all_caches",
     "all_stats",
     "clear_all_caches",
-    "caches_enabled",
-    "set_caches_enabled",
-    "caches_disabled",
     "XPATH_CACHE",
     "CANONICAL_CACHE",
     "DIGEST_CACHE",

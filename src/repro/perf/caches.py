@@ -9,9 +9,8 @@ event that changes their answer (revocation; cf. Welch et al.,
 *Security for Grid Services* and Czenko et al. on nonmonotonic trust).
 
 This module is the substrate: a small, thread-safe LRU cache with
-per-cache hit/miss/eviction/invalidation counters, a process-wide
-registry for introspection, and a global enable/disable switch so
-benchmarks can ablate caches on vs. off without reloading modules.
+per-cache hit/miss/eviction/invalidation counters and a process-wide
+registry for introspection.
 
 Import discipline: ``repro.perf`` imports nothing from the rest of
 ``repro`` (only the standard library), so any layer — ``xmlutil``,
@@ -35,9 +34,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Any, Callable, Hashable, Optional
 
 __all__ = [
     "CacheStats",
@@ -45,9 +43,6 @@ __all__ = [
     "all_caches",
     "all_stats",
     "clear_all_caches",
-    "caches_enabled",
-    "set_caches_enabled",
-    "caches_disabled",
     "XPATH_CACHE",
     "CANONICAL_CACHE",
     "DIGEST_CACHE",
@@ -104,8 +99,6 @@ class LRUCache:
         return len(self._entries)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        if not caches_enabled():
-            return default
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
@@ -117,8 +110,6 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any,
             tag: Optional[Hashable] = None) -> None:
-        if not caches_enabled():
-            return
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -134,12 +125,7 @@ class LRUCache:
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
                        tag: Optional[Hashable] = None) -> Any:
-        """Look up ``key``; on a miss run ``compute`` and memoize it.
-
-        With caches disabled this degenerates to ``compute()`` — the
-        exact uncached behavior, which is what the benchmark ablation
-        measures against.
-        """
+        """Look up ``key``; on a miss run ``compute`` and memoize it."""
         value = self.get(key, _MISSING)
         if value is not _MISSING:
             return value
@@ -256,13 +242,11 @@ class LRUCache:
 
 
 # ---------------------------------------------------------------------------
-# Registry + global switch
+# Registry
 # ---------------------------------------------------------------------------
 
 _registry: list[LRUCache] = []
 _registry_lock = threading.Lock()
-_enabled = True
-_enabled_lock = threading.Lock()
 
 
 def _register(cache: LRUCache) -> None:
@@ -288,36 +272,6 @@ def clear_all_caches(reset_counters: bool = False) -> None:
             cache.reset()
         else:
             cache.clear()
-
-
-def caches_enabled() -> bool:
-    """Whether the perf caches are currently consulted at all."""
-    return _enabled
-
-
-def set_caches_enabled(enabled: bool) -> bool:
-    """Flip the global switch; returns the previous value.
-
-    Disabling also empties every cache so a later re-enable cannot
-    serve entries that predate whatever the disabled window changed.
-    """
-    global _enabled
-    with _enabled_lock:
-        previous = _enabled
-        _enabled = bool(enabled)
-    if previous and not enabled:
-        clear_all_caches()
-    return previous
-
-
-@contextmanager
-def caches_disabled() -> Iterator[None]:
-    """Context manager running its body with all caches bypassed."""
-    previous = set_caches_enabled(False)
-    try:
-        yield
-    finally:
-        set_caches_enabled(previous)
 
 
 # ---------------------------------------------------------------------------

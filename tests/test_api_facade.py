@@ -98,14 +98,6 @@ class TestConfigTrio:
         cache = config.sequence_cache()
         assert cache.capacity == 3
 
-    def test_perf_config_apply_toggles_caches(self):
-        from repro.perf import caches_disabled
-
-        PerfConfig(caches_enabled=True).apply()
-        with caches_disabled():
-            pass  # context manager restores the enabled state
-        PerfConfig().apply()
-
 
 class TestVOToolkit:
     def test_kw_only(self):

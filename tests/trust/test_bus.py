@@ -60,22 +60,36 @@ class TestRetraction:
         assert receipt.retracted == frozenset({credential.serial})
         assert receipt.epoch == before + 1 == trust_epoch()
 
-    def test_signature_eviction_is_serial_precise(self, bus, authority):
+    @pytest.mark.parametrize("siblings", [1, 255])
+    def test_signature_eviction_is_serial_precise(
+        self, bus, authority, siblings
+    ):
+        from repro.crypto.keys import KeyPair
+
         clear_all_caches()
-        revoked = _issue(authority)
-        sibling = _issue(authority)
-        SIGNATURE_CACHE.put(
-            ("fp", b"d1", "s1"), True, tag=(authority.name, revoked.serial)
-        )
-        SIGNATURE_CACHE.put(
-            ("fp", b"d2", "s2"), True, tag=(authority.name, sibling.serial)
-        )
+        holder = KeyPair.generate(512)
+        credentials = [
+            authority.issue(
+                "Qual", f"holder-{index}", holder.fingerprint, {"k": "v"},
+                ISSUE_AT,
+            )
+            for index in range(siblings + 1)
+        ]
+        for credential in credentials:
+            SIGNATURE_CACHE.put(
+                ("fp", credential.serial), True,
+                tag=(authority.name, credential.serial),
+            )
+        revoked = credentials[0]
+        before = len(SIGNATURE_CACHE)
         receipt = bus.revoke(authority, revoked)
         assert receipt.evicted_signatures == 1
-        assert SIGNATURE_CACHE.get(("fp", b"d1", "s1")) is None
-        # The issuer's other credential keeps its cached verdict — the
-        # precision the old whole-issuer flush lacked.
-        assert SIGNATURE_CACHE.get(("fp", b"d2", "s2")) is True
+        assert before - len(SIGNATURE_CACHE) == 1  # zero collateral
+        assert SIGNATURE_CACHE.get(("fp", revoked.serial)) is None
+        # Every other credential of the issuer keeps its cached
+        # verdict — the precision the old whole-issuer flush lacked.
+        for sibling in credentials[1:]:
+            assert SIGNATURE_CACHE.get(("fp", sibling.serial)) is True
 
     def test_sequence_eviction_via_provenance(self):
         fixture = chain_workload(4)
