@@ -129,7 +129,6 @@ from repro.scenario.market import (
     run_market_round,
 )
 from repro.scenario.population import Population, seat_name
-from repro.scenario.runner import WorkloadPreset, WorkloadRunner
 from repro.scenario.aircraft import (
     ROLE_DESIGN_PORTAL,
     ROLE_HPC,
@@ -380,9 +379,6 @@ __all__ = [
     "IsolationConfig",
     "IsolationReport",
     "cheater_isolation",
-    # workload runner
-    "WorkloadPreset",
-    "WorkloadRunner",
 ]
 
 
@@ -406,11 +402,12 @@ class ResilienceConfig:
     """Retry / circuit-breaker / deadline policy in one flat object.
 
     ``wrap`` builds the client-side :class:`ResilientTransport`
-    decorator over the sans-IO
-    :func:`~repro.services.resilience_core.resilience_call` core;
-    ``hedge`` and ``health`` carry the cluster-side tail-latency
-    policies — pass :meth:`router_kwargs` when deploying a
+    decorator; ``hedge`` and ``health`` carry the cluster-side
+    tail-latency policies — pass :meth:`router_kwargs` when deploying a
     :class:`ShardedTNService` (hedged starts, health-aware routing).
+    The retry and breaker fields are checked at construction: a policy
+    that could never make a call (``max_attempts=0``, a negative
+    backoff) raises :class:`ValueError` here.
     """
 
     max_attempts: int = 4
@@ -428,6 +425,10 @@ class ResilienceConfig:
     #: Shard ejection/probing policy for the cluster routers; ``None``
     #: keeps legacy route-by-hash behavior.
     health: Optional[HealthPolicy] = None
+
+    def __post_init__(self) -> None:
+        self.retry_policy()
+        self.breaker_policy()
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(

@@ -49,11 +49,11 @@ Commands:
 ``scenarios``
     Run the open-world scenario engine and/or the exemplar experiments
     (two-agent strategy matrix, 5-agent scarcity market, cheater
-    isolation on the real TN path) through the
-    :class:`~repro.scenario.runner.WorkloadRunner`, printing each
-    report's summary and optionally writing one combined seeded JSON
-    report (``--report PATH``).  Exits non-zero when any invariant is
-    violated or any asserted finding does not hold.
+    isolation on the real TN path), each by a direct call on its
+    config, printing each report's summary and optionally writing one
+    combined seeded JSON report (``--report PATH``).  Exits non-zero
+    when any invariant is violated or any asserted finding does not
+    hold.
 
 ``audit PATH``
     Verify a hash-chained audit log (``repro.obs.audit``): recompute
@@ -291,13 +291,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     import os
 
-    from repro.scenario.runner import WorkloadRunner
+    from repro.hardening.soak import SoakConfig, run_soak
 
-    runner = WorkloadRunner()
     wal_dir = args.wal_dir if args.shards > 0 else None
     try:
-        config = runner.config(
-            "soak",
+        config = SoakConfig(
             seed=args.seed,
             negotiations=args.negotiations,
             roles=args.roles,
@@ -312,7 +310,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         args.parser.error(str(exc))  # usage message, exit 2
     if wal_dir:
         os.makedirs(wal_dir, exist_ok=True)
-    report = runner.run(config)
+    report = run_soak(config)
     print(report.summary())
     for violation in report.violations:
         print(f"  VIOLATION [{violation.invariant}] {violation.detail}",
@@ -329,10 +327,17 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     import json
 
+    from repro.scenario.engine import ScenarioConfig, run_scenario
+    from repro.scenario.experiments import (
+        IsolationConfig,
+        MatrixConfig,
+        ScarcityConfig,
+        cheater_isolation,
+        scarcity_market,
+        two_agent_matrix,
+    )
     from repro.scenario.market import MarketConfig
-    from repro.scenario.runner import WorkloadRunner
 
-    runner = WorkloadRunner()
     quick = args.quick
     combined: dict = {"seed": args.seed, "experiments": {}}
     ok = True
@@ -362,34 +367,31 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     run_all = args.preset == "all"
     if run_all or args.preset == "matrix":
-        report = runner.run(
-            "two-agent-matrix",
+        report = two_agent_matrix(MatrixConfig(
             seed=args.seed,
             rounds=15 if quick else 40,
-        )
+        ))
         combined["experiments"]["twoAgentMatrix"] = section(
             "two-agent matrix", report
         )
     if run_all or args.preset == "scarcity":
         rounds = 40 if quick else 100
         rush_start = (rounds * 3) // 5
-        report = runner.run(
-            "scarcity",
+        report = scarcity_market(ScarcityConfig(
             seed=args.seed,
             rounds=rounds,
             rush_start=rush_start,
             rush_end=rush_start + max(2, rounds // 10),
-        )
+        ))
         combined["experiments"]["scarcity"] = section(
             "scarcity market", report
         )
     if run_all or args.preset == "cheater-isolation":
-        report = runner.run(
-            "cheater-isolation",
+        report = cheater_isolation(IsolationConfig(
             seed=args.seed,
             rounds=12 if quick else 20,
             cluster_shards=args.shards,
-        )
+        ))
         combined["experiments"]["cheaterIsolation"] = section(
             "cheater isolation", report
         )
@@ -399,8 +401,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             else (12 if quick else 24)
         )
         rush_start = rounds // 2
-        report = runner.run(
-            "scenario",
+        report = run_scenario(ScenarioConfig(
             seed=args.seed,
             rounds=rounds,
             agents=args.agents,
@@ -417,7 +418,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 demand_per_seeker=4,
                 gossip_scale=0.75,
             ),
-        )
+        ))
         combined["openWorld"] = section("open-world scenario", report)
 
     combined["ok"] = ok

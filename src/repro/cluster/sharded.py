@@ -83,7 +83,7 @@ from repro.obs import (
     event as obs_event,
     gauge as obs_gauge,
 )
-from repro.services.resilience_core import TRANSIENT_ERRORS
+from repro.services.resilience import TRANSIENT_ERRORS
 from repro.services.tn_service import NegotiationSession, TNWebService
 from repro.storage.document_store import XMLDocumentStore
 from repro.storage.session_store import (

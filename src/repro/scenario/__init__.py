@@ -9,9 +9,12 @@
   scenario engine: strategy-driven agent markets, TN-gated membership
   churn, and cheater isolation by decentralized reputation;
 - :mod:`experiments` — exemplar experiments with asserted qualitative
-  findings (strategy matrix, scarcity market, cheater isolation);
-- :mod:`runner` — the general :class:`WorkloadRunner` all long-running
-  workloads (including the chaos soak) are presets of.
+  findings (strategy matrix, scarcity market, cheater isolation).
+
+Every long-running workload is one call on its kw-only config, e.g.
+``run_scenario(ScenarioConfig(seed=42, agents=20, cheaters=2))`` or
+``two_agent_matrix(MatrixConfig(seed=1))``; the chaos soak is
+:func:`repro.hardening.soak.run_soak`.
 """
 
 from repro.scenario.aircraft import AircraftScenario, build_aircraft_scenario
@@ -39,7 +42,6 @@ from repro.scenario.market import (
     run_market_round,
 )
 from repro.scenario.population import Population, seat_name
-from repro.scenario.runner import WorkloadPreset, WorkloadRunner
 
 __all__ = [
     "AircraftScenario",
@@ -63,6 +65,4 @@ __all__ = [
     "IsolationConfig",
     "IsolationReport",
     "cheater_isolation",
-    "WorkloadPreset",
-    "WorkloadRunner",
 ]

@@ -347,3 +347,33 @@ class TestDeadlineNormalization:
         resilient, seen = self.make_recording_stack(deadline_ms=30_000.0)
         resilient.call("urn:svc", "Echo", {"deadlineMs": 750.0})
         assert seen[0]["deadlineMs"] == 750.0
+
+
+class TestPolicyValidation:
+    """Policies that could never make a call fail at construction."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_attempts", 0),
+        ("max_attempts", -1),
+        ("base_backoff_ms", -500.0),
+        ("max_backoff_ms", -1.0),
+        ("jitter_ms", -0.5),
+        ("multiplier", -2.0),
+        ("base_backoff_ms", float("nan")),
+    ])
+    def test_retry_policy_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RetryPolicy(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("failure_threshold", 0),
+        ("reset_timeout_ms", -1.0),
+    ])
+    def test_breaker_policy_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CircuitBreakerPolicy(**{name: value})
+
+    def test_boundary_values_accepted(self):
+        RetryPolicy(max_attempts=1, base_backoff_ms=0, multiplier=0,
+                    max_backoff_ms=0, jitter_ms=0)
+        CircuitBreakerPolicy(failure_threshold=1, reset_timeout_ms=0)

@@ -1,15 +1,20 @@
-"""Resilience parity: the frozen legacy loop vs the sans-IO driver.
+"""Resilience parity: the frozen legacy loop vs ``ResilientTransport``.
 
-The sans-IO extraction (``repro.services.resilience_core``) promises
-that :class:`ResilientTransport` is *bit-identical* to the
-pre-extraction implementation — same stats, same simulated-clock
-charges, same exception types, messages, and ``__cause__`` chaining,
-same breaker transitions.  This suite proves it by embedding the
-frozen pre-refactor ``call`` loop (``LegacyResilientTransport``,
-copied verbatim from the git history) and running every scenario
-through both.  Each scenario also runs with every call issued from an
-asyncio task — the way ``TNClient.anegotiate`` and the asyncio soak
-reach the transport — which must not change a single decision.
+:meth:`ResilientTransport.call` has been restructured more than once
+(split into an effect generator, then folded back into one plain
+loop), each time under the promise that it stays *bit-identical* to
+the original implementation — same stats, same simulated-clock
+charges, same exception types, messages, ``__cause__`` chaining and
+``__suppress_context__``, same breaker transitions, and the same
+``repro.obs`` output (``resilience.*`` counters and histograms, and
+the retry / backpressure / breaker-open events with their fields and
+simulated timestamps).  This suite proves it by embedding the frozen
+original ``call`` loop (``LegacyResilientTransport``, copied verbatim
+from the git history) and running every scenario through both with
+observability enabled.  Each scenario also runs with every call
+issued from an asyncio task — the way ``TNClient.anegotiate`` and the
+asyncio soak reach the transport — which must not change a single
+decision.
 
 Two behavioral changes are *intentional* and excluded from the parity
 contract; each gets its own divergence test at the bottom:
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro import obs
 from repro.errors import (
     CircuitOpenError,
     DatabaseUnavailableError,
@@ -292,8 +298,26 @@ async def _from_task(resilient, payload):
 
 
 def _run(driver, spec):
-    """Run one scenario through one stack and distill everything
-    observable into a comparable record."""
+    """Run one scenario through one stack, with ``repro.obs`` enabled,
+    and distill everything observable into a comparable record."""
+    obs.enable()
+    try:
+        record = _run_observed(driver, spec)
+    finally:
+        obs.disable()
+    record["metrics"] = {
+        name: summary for name, summary in obs.metrics().items()
+        if name.startswith("resilience.")
+    }
+    record["events"] = [
+        (event.name, event.virtual_ms, event.fields)
+        for event in obs.events()
+        if event.name.startswith("resilience.")
+    ]
+    return record
+
+
+def _run_observed(driver, spec):
     transport = SimTransport()
     seen = []
     handler = _make_handler(spec.get("script", []), seen)
@@ -326,6 +350,7 @@ def _run(driver, spec):
                 type(exc).__name__,
                 str(exc),
                 type(cause).__name__ if cause is not None else None,
+                exc.__suppress_context__,
             ))
         else:
             outcomes.append(("ok", response))
@@ -476,6 +501,17 @@ def test_scenarios_cover_every_terminal_outcome():
         record["stats"]["backpressure_waits"] for record in sync.values()
     )
     assert total_backpressure >= 1
+    # ... and every obs signal the transport emits is on the record.
+    events = {
+        event[0] for record in sync.values() for event in record["events"]
+    }
+    assert events == {"resilience.retry", "resilience.backpressure",
+                      "resilience.breaker_open"}
+    metrics = set().union(*(record["metrics"] for record in sync.values()))
+    assert {"resilience.calls", "resilience.retries",
+            "resilience.backpressure_waits", "resilience.backoff_ms",
+            "resilience.deadline_expiries", "resilience.breaker_rejections",
+            "resilience.exhausted"} <= metrics
 
 
 # -- intentional divergences (the two satellite bug fixes) ------------------------

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.api import WorkloadRunner
 from repro.cli import main
 from repro.hardening.soak import SoakConfig, run_soak
 
@@ -15,7 +14,7 @@ def run_aio(**kwargs):
     kwargs.setdefault("negotiations", 60)
     kwargs.setdefault("roles", 3)
     kwargs.setdefault("asyncio_mode", True)
-    return WorkloadRunner().run("soak", **kwargs)
+    return run_soak(SoakConfig(**kwargs))
 
 
 class TestChaosSoakAcceptance:

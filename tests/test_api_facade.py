@@ -93,6 +93,16 @@ class TestConfigTrio:
         assert isinstance(wrapped, ResilientTransport)
         assert wrapped.deadline_ms is None
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_attempts", 0),
+        ("base_backoff_ms", -500.0),
+        ("failure_threshold", 0),
+        ("reset_timeout_ms", -1.0),
+    ])
+    def test_resilience_config_rejects_unusable_policies(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ResilienceConfig(**{name: value})
+
     def test_perf_config_builds_sized_cache(self):
         config = PerfConfig(sequence_cache_capacity=3)
         cache = config.sequence_cache()

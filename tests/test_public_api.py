@@ -74,8 +74,6 @@ class TestTopLevelApi:
             "scarcity_market",
             "IsolationConfig",
             "cheater_isolation",
-            "WorkloadPreset",
-            "WorkloadRunner",
         ):
             assert hasattr(api, name), f"repro.api.{name} missing"
             assert name in api.__all__, f"repro.api.{name} not in __all__"
