@@ -70,12 +70,18 @@ def is_probable_prime(candidate: int, rounds: int = 40) -> bool:
 
 
 def generate_prime(bits: int) -> int:
-    """Generate a random probable prime of exactly ``bits`` bits."""
+    """Generate a random probable prime of exactly ``bits`` bits.
+
+    Candidates have their top two bits set (OpenSSL's BN_RAND_TOP_TWO):
+    the prime clears FIPS 186-4 B.3.1's ``sqrt(2) * 2^(bits-1)`` floor,
+    and two such primes multiply to their full combined bit length.
+    Primality is tested as for any candidate: 40 Miller-Rabin rounds.
+    """
     if bits < 8:
         raise CryptoError(f"prime size too small: {bits} bits")
     while True:
         candidate = secrets.randbits(bits)
-        candidate |= (1 << (bits - 1)) | 1  # force top bit and oddness
+        candidate |= (3 << (bits - 2)) | 1  # force top two bits and oddness
         if is_probable_prime(candidate):
             return candidate
 

@@ -85,7 +85,8 @@ def generate_keypair(bits: int = 1024) -> RSAPrivateKey:
     """Generate an RSA key pair with a ``bits``-bit modulus.
 
     512-bit keys are accepted for fast test fixtures; real examples use
-    1024 or 2048 bits.
+    1024 or 2048 bits.  Primes from :func:`generate_prime` always give a
+    ``bits``-bit modulus, so the length check below is only a guard.
     """
     if bits < 256:
         raise CryptoError(f"RSA modulus too small: {bits} bits")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-import networkx as nx
-
 from repro.errors import ConceptNotFoundError, OntologyError
 from repro.ontology.concept import Concept
 
@@ -28,7 +26,8 @@ class Ontology:
     def __init__(self, name: str) -> None:
         self.name = name
         self._concepts: dict[str, Concept] = {}
-        self._graph = nx.DiGraph()  # edge child -> parent with relation attr
+        # child -> {parent: relation}; one relation per ordered pair.
+        self._parents: dict[str, dict[str, str]] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -38,7 +37,7 @@ class Ontology:
                 f"concept {concept.name!r} already exists in {self.name!r}"
             )
         self._concepts[concept.name] = concept
-        self._graph.add_node(concept.name)
+        self._parents[concept.name] = {}
         return concept
 
     def add_concept(
@@ -54,19 +53,11 @@ class Ontology:
         """Record ``child --relation--> parent``; ``is_a`` must stay acyclic."""
         self._require(child)
         self._require(parent)
-        self._graph.add_edge(child, parent, relation=relation)
-        if relation == IS_A:
-            is_a_edges = [
-                (u, v)
-                for u, v, data in self._graph.edges(data=True)
-                if data.get("relation") == IS_A
-            ]
-            subgraph = nx.DiGraph(is_a_edges)
-            if not nx.is_directed_acyclic_graph(subgraph):
-                self._graph.remove_edge(child, parent)
-                raise OntologyError(
-                    f"is_a cycle introduced by {child!r} -> {parent!r}"
-                )
+        if relation == IS_A and child in {parent, *self.ancestors(parent)}:
+            raise OntologyError(
+                f"is_a cycle introduced by {child!r} -> {parent!r}"
+            )
+        self._parents[child][parent] = relation
 
     # -- lookup ------------------------------------------------------------------
 
@@ -95,26 +86,30 @@ class Ontology:
 
     # -- is_a inference ------------------------------------------------------------
 
-    def _is_a_edges(self) -> list[tuple[str, str]]:
-        return [
-            (u, v)
-            for u, v, data in self._graph.edges(data=True)
-            if data.get("relation") == IS_A
-        ]
+    def _is_a_closure(self, name: str, upward: bool) -> set[str]:
+        """Transitive is_a parents (``upward``) or children of ``name``."""
+        self._require(name)
+        step: dict[str, list[str]] = {}
+        for child, parents in self._parents.items():
+            for parent, relation in parents.items():
+                if relation == IS_A:
+                    edge = (child, parent) if upward else (parent, child)
+                    step.setdefault(edge[0], []).append(edge[1])
+        seen: set[str] = set()
+        stack = [name]
+        while stack:
+            fresh = set(step.get(stack.pop(), ())) - seen
+            seen |= fresh
+            stack.extend(fresh)
+        return seen
 
     def ancestors(self, name: str) -> set[str]:
         """Concepts that ``name`` can be used to infer (transitive is_a)."""
-        self._require(name)
-        subgraph = nx.DiGraph(self._is_a_edges())
-        subgraph.add_node(name)
-        return set(nx.descendants(subgraph, name))
+        return self._is_a_closure(name, upward=True)
 
     def descendants(self, name: str) -> set[str]:
         """Concepts whose information infers ``name``."""
-        self._require(name)
-        subgraph = nx.DiGraph(self._is_a_edges())
-        subgraph.add_node(name)
-        return set(nx.ancestors(subgraph, name))
+        return self._is_a_closure(name, upward=False)
 
     def infers(self, specific: str, general: str) -> bool:
         """True when ``specific`` is_a* ``general`` (or the same)."""
@@ -139,12 +134,8 @@ class Ontology:
     def related(self, name: str, relation: str) -> set[str]:
         """Direct neighbours of ``name`` through ``relation`` edges."""
         self._require(name)
-        out = {
-            v
-            for _, v, data in self._graph.out_edges(name, data=True)
-            if data.get("relation") == relation
-        }
-        return out
+        edges = self._parents[name]
+        return {parent for parent in edges if edges[parent] == relation}
 
     # -- generalization (for policy abstraction, §4.3.1) -------------------------
 

@@ -1,6 +1,11 @@
 """The public API surface of the ``repro`` package."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +108,29 @@ class TestTopLevelApi:
             with_negotiation=True,
         )
         assert outcome.joined
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, json, pkgutil, sys
+before = {name.partition(".")[0] for name in sys.modules}
+import repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(module.name)
+after = {name.partition(".")[0] for name in sys.modules}
+print(json.dumps(sorted(after - before - set(sys.stdlib_module_names))))
+"""
+
+
+def test_package_needs_only_the_standard_library():
+    """Importing every ``repro`` module loads no third-party package.
+
+    The baseline is the fresh interpreter's own ``sys.modules``, since
+    ``site`` hooks may preload third-party packages before ``repro``.
+    """
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERY_MODULE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(result.stdout) == ["repro"]
