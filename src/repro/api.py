@@ -5,7 +5,7 @@ needs is importable from this one module::
 
     from repro.api import (
         Negotiator, VOToolkit, TNWebService, FaultInjector, obs,
-        ObsConfig, PerfConfig, ResilienceConfig, TrustConfig,
+        ObsConfig, ResilienceConfig, TrustConfig,
     )
 
 Three kinds of names live here:
@@ -15,8 +15,8 @@ Three kinds of names live here:
    :class:`VOToolkit` (builds the simulated SOA transport stack:
    ``client → ResilientTransport → FaultInjector → SimTransport`` —
    and hands out the three toolkit editions), and the keyword-only
-   configuration quartet :class:`ObsConfig` / :class:`PerfConfig` /
-   :class:`ResilienceConfig` / :class:`TrustConfig`.
+   configuration trio :class:`ObsConfig` / :class:`ResilienceConfig` /
+   :class:`TrustConfig`.
 2. **Re-exports** of the stable implementation classes (negotiation,
    credentials, policies, services, faults, scenario builders) under
    their canonical names.
@@ -209,7 +209,6 @@ __all__ = [
     "Negotiator",
     "VOToolkit",
     "ObsConfig",
-    "PerfConfig",
     "ResilienceConfig",
     "TrustConfig",
     "obs",
@@ -383,18 +382,6 @@ __all__ = [
 
 
 # -- configuration trio --------------------------------------------------------------
-
-
-@dataclass(frozen=True, kw_only=True)
-class PerfConfig:
-    """Performance-layer knobs."""
-
-    #: Capacity of sequence caches built by :meth:`sequence_cache`.
-    sequence_cache_capacity: int = 1024
-
-    def sequence_cache(self) -> SequenceCache:
-        """A fresh trust-sequence cache sized by this config."""
-        return SequenceCache(capacity=self.sequence_cache_capacity)
 
 
 @dataclass(frozen=True, kw_only=True)

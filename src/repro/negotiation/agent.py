@@ -369,9 +369,10 @@ class TrustXAgent:
         """Re-check revocation for a credential this party already
         accepted in the current negotiation.
 
-        Called by the negotiation core when the process-wide trust
-        epoch (:func:`repro.trust.trust_epoch`) advanced since the
-        disclosure was verified — a retraction somewhere may have
+        Called by the negotiation core and by sequence-cache replay
+        when the process-wide trust epoch
+        (:func:`repro.trust.trust_epoch`) advanced since the disclosure
+        was verified — a retraction somewhere may have
         invalidated what the signature cache no longer remembers.
         Raises :class:`~repro.errors.CredentialRevokedError` when the
         credential is now on its issuer's revocation list.

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
+from repro.credentials.credential import Credential
+from repro.errors import CredentialRevokedError
 from repro.negotiation.agent import TrustXAgent
 from repro.negotiation.engine import (
     DEFAULT_NEGOTIATION_TIME,
@@ -43,9 +45,25 @@ from repro.negotiation.engine import (
 from repro.negotiation.outcomes import NegotiationResult, TranscriptEvent
 from repro.obs import count as obs_count, span as obs_span
 from repro.policy.terms import Term
-from repro.trust import register_sequence_cache
+from repro.trust import register_sequence_cache, trust_epoch
 
 __all__ = ["CachedStep", "SequenceCache", "CachingNegotiator"]
+
+
+def _revoked_since(
+    epoch: int, accepted: list[tuple[TrustXAgent, Credential]]
+) -> bool:
+    """Whether a retraction since trust epoch ``epoch`` revoked one of
+    the ``(receiver, credential)`` disclosures accepted so far: one
+    integer compare while the epoch stands still."""
+    if trust_epoch() == epoch:
+        return False
+    try:
+        for receiver, credential in accepted:
+            receiver.ensure_disclosure_not_revoked(credential)
+    except CredentialRevokedError:
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -281,8 +299,9 @@ class CachingNegotiator:
     ) -> Optional[NegotiationResult]:
         """Re-run only the exchange phase over the cached sequence.
 
-        Returns None when replay is impossible (missing credential) or
-        any re-verification fails, triggering a full negotiation.
+        Returns None when replay is impossible (missing credential),
+        any re-verification fails, or a credential it accepted is
+        retracted mid-replay, triggering a full negotiation.
         """
         agents = {requester.name: requester, controller.name: controller}
         transcript = [
@@ -292,7 +311,11 @@ class CachingNegotiator:
         disclosed_requester: list[str] = []
         disclosed_controller: list[str] = []
         exchange_messages = 0
+        epoch = trust_epoch()
+        accepted_credentials: list[tuple[TrustXAgent, Credential]] = []
         for step in cached.steps:
+            if _revoked_since(epoch, accepted_credentials):
+                return None
             discloser = agents.get(step.discloser)
             receiver = (
                 controller if discloser is requester else requester
@@ -308,7 +331,7 @@ class CachingNegotiator:
             except Exception:
                 return None
             exchange_messages += 1
-            accepted, reason, _ = receiver.verify_disclosure(
+            accepted, reason, effective = receiver.verify_disclosure(
                 disclosure, step.term, at, nonce
             )
             transcript.append(TranscriptEvent(
@@ -320,10 +343,13 @@ class CachingNegotiator:
                 return None
             if not receiver.strategy.eager_disclosure:
                 exchange_messages += 1
+            accepted_credentials.append((receiver, effective))
             if discloser is requester:
                 disclosed_requester.append(credential.cred_id)
             else:
                 disclosed_controller.append(credential.cred_id)
+        if _revoked_since(epoch, accepted_credentials):
+            return None
         exchange_messages += 1  # the grant
         transcript.append(TranscriptEvent(
             "exchange", controller.name, "grant", cached.resource

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Generator, Optional
+from typing import Any, Generator, NamedTuple, Optional
 
 from repro.errors import CredentialRevokedError, StrategyError
 from repro.obs import (
@@ -80,8 +80,7 @@ OP_VERIFY_DISCLOSURE = "verify_disclosure"
 OP_ENSURE_NOT_REVOKED = "ensure_disclosure_not_revoked"
 
 
-@dataclass(frozen=True, slots=True)
-class AgentOp:
+class AgentOp(NamedTuple):
     """One effect the core asks its driver to fulfil.
 
     ``party`` names the agent that must act; ``op`` is one of the

@@ -23,7 +23,7 @@ yields against the two in-process agents and feeds the answer back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
@@ -38,8 +38,7 @@ from repro.obs import (
     enabled as obs_enabled,
     span as obs_span,
 )
-from repro.negotiation.outcomes import NegotiationResult, TranscriptEvent
-from repro.negotiation.tree import NegotiationTree
+from repro.negotiation.outcomes import NegotiationResult
 
 __all__ = ["NegotiationEngine", "negotiate", "DEFAULT_NEGOTIATION_TIME"]
 
@@ -62,11 +61,6 @@ class NegotiationEngine:
     #: the one with the lowest summed sensitivity, ties broken by
     #: disclosure count.
     view_selection: str = "first"
-
-    # Last-run state, copied back from the core for introspection.
-    _tree: NegotiationTree = field(init=False, repr=False)
-    _transcript: list[TranscriptEvent] = field(init=False, repr=False)
-    _edge_credentials: dict[int, str] = field(init=False, repr=False)
 
     def _core(self) -> NegotiationCore:
         return NegotiationCore(
@@ -102,16 +96,11 @@ class NegotiationEngine:
     def _run(
         self, resource: str, at: Optional[datetime]
     ) -> NegotiationResult:
-        core = self._core()
         agents = {
             self.requester.name: self.requester,
             self.controller.name: self.controller,
         }
-        result = drive(core.run(resource, at), agents)
-        self._tree = core.tree
-        self._transcript = core.transcript
-        self._edge_credentials = core._edge_credentials
-        return result
+        return drive(self._core().run(resource, at), agents)
 
 
 def negotiate(

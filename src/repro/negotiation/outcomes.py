@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.negotiation.tree import NegotiationTree, TreeNode
 
@@ -61,8 +61,7 @@ UNSATISFIABLE_REASONS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     """One step of the negotiation, for inspection and debugging."""
 
     phase: str  # "policy" | "exchange" | "setup"

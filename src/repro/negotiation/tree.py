@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import NegotiationError
 from repro.obs import (
@@ -76,8 +76,7 @@ class TreeNode:
         return self.term is None
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyEdge:
+class PolicyEdge(NamedTuple):
     """One policy rule linking a node to the body terms' nodes."""
 
     edge_id: int

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.negotiation.core import (
@@ -69,7 +67,7 @@ class TestEffectVocabulary:
             assert isinstance(op, AgentOp)
             assert op.party in parties
             assert isinstance(op.args, tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ops[0].party = "mallory"
 
     def test_custom_driver_matches_engine(self, fixture):

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.negotiation.cache import CachingNegotiator, SequenceCache
 from repro.negotiation.engine import NegotiationEngine
 from repro.negotiation.outcomes import FailureReason
 from repro.perf import SIGNATURE_CACHE, clear_all_caches
@@ -264,6 +265,27 @@ class TestMidFlightRevocationParity:
         result = _drive_serial(fixture)
         assert not result.success
         assert result.failure_reason is FailureReason.CREDENTIAL_REVOKED
+
+    def test_revocation_during_cache_replay_is_not_replayed_over(self):
+        """A retraction landing mid-replay of a cached trust sequence
+        stops the replay; the full negotiation it falls back to then
+        rejects the revoked credential."""
+        clear_all_caches()
+        fixture = chain_workload(2)
+        negotiator = CachingNegotiator(SequenceCache())
+        at = fixture.negotiation_time()
+        first = negotiator.negotiate(
+            fixture.requester, fixture.controller, fixture.resource, at=at
+        )
+        assert first.success
+        armed = _arm_mid_exchange_revocation(fixture)
+        result = negotiator.negotiate(
+            fixture.requester, fixture.controller, fixture.resource, at=at
+        )
+        assert armed, "tripwire never fired: no disclosure was accepted"
+        assert not result.success
+        assert result.failure_reason is FailureReason.CREDENTIAL_REJECTED
+        assert negotiator.cache.hits == 0
 
 
 class TestPhaseBoundaryRevocationParity:

@@ -8,7 +8,6 @@ import repro.api as api
 from repro.api import (
     Negotiator,
     ObsConfig,
-    PerfConfig,
     ResilienceConfig,
     VOToolkit,
 )
@@ -48,7 +47,7 @@ class TestSurface:
 
     def test_facade_classes_exported(self):
         for name in ("Negotiator", "VOToolkit", "ObsConfig",
-                     "PerfConfig", "ResilienceConfig"):
+                     "ResilienceConfig"):
             assert name in api.__all__
 
 
@@ -56,8 +55,6 @@ class TestConfigTrio:
     def test_kw_only_construction(self):
         with pytest.raises(TypeError):
             ResilienceConfig(3)
-        with pytest.raises(TypeError):
-            PerfConfig(False)
         with pytest.raises(TypeError):
             ObsConfig(True)
 
@@ -102,11 +99,6 @@ class TestConfigTrio:
     def test_resilience_config_rejects_unusable_policies(self, name, value):
         with pytest.raises(ValueError, match=name):
             ResilienceConfig(**{name: value})
-
-    def test_perf_config_builds_sized_cache(self):
-        config = PerfConfig(sequence_cache_capacity=3)
-        cache = config.sequence_cache()
-        assert cache.capacity == 3
 
 
 class TestVOToolkit:
