@@ -73,7 +73,6 @@ process routes — and storms — differently.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import random
@@ -564,10 +563,16 @@ def _run_fuzz_corpus(
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakReport:
     """Run the chaos soak and return its invariant report."""
+    # Imported here so importing the soak does not load the event loop.
+    import asyncio
+
     return asyncio.run(_soak(config or SoakConfig()))
 
 
 async def _soak(config: SoakConfig) -> SoakReport:
+    # Only the soak's running loop needs asyncio (``call`` and the waves).
+    import asyncio
+
     # Imported here: the scenario/service layers import
     # ``repro.hardening.config`` at module load, so importing them at
     # this module's top level would close an import cycle.

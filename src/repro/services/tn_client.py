@@ -19,7 +19,6 @@ asyncio task, yielding to the event loop between calls.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 from dataclasses import dataclass
 from datetime import datetime
@@ -139,6 +138,9 @@ class TNClient:
         sessions open at once; the calls themselves are the same sync
         transport calls, so the result equals :meth:`negotiate`'s.
         """
+        # Imported here so the sync client never loads the event loop.
+        import asyncio
+
         steps = self._steps(resource, strategy, at)
         try:
             operation, payload = next(steps)

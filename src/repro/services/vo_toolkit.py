@@ -99,6 +99,12 @@ class HostEdition:
             self.admission.admit(
                 operation, payload, self.transport.clock.elapsed_ms
             )
+        # A dissolved VO holds no members and no longer operates: forget
+        # it, so a long-lived host does not keep every VO it announced.
+        self._active_vos = {
+            name: vo for name, vo in self._active_vos.items()
+            if not vo.lifecycle.is_dissolved
+        }
         if operation == "RegisterMember":
             member = payload.get("member")
             if not isinstance(member, VOMember):

@@ -62,10 +62,18 @@ class Invitation:
 
 @dataclass
 class Mailbox:
-    """A member's invitation mailbox."""
+    """A member's invitation mailbox.
+
+    Messages are keyed by ``invitation_id`` in delivery order.  The
+    unread and pending indexes only shrink, so a lookup costs what the
+    mailbox still holds open, not its whole history: an invitation that
+    leaves ``PENDING`` never returns to it.
+    """
 
     owner: str
-    _messages: list[Invitation] = field(default_factory=list)
+    _messages: dict[str, Invitation] = field(default_factory=dict)
+    _unread: dict[str, Invitation] = field(default_factory=dict)
+    _pending: dict[str, Invitation] = field(default_factory=dict)
     _read: set[str] = field(default_factory=set)
 
     def deliver(self, invitation: Invitation) -> None:
@@ -74,33 +82,37 @@ class Mailbox:
                 f"invitation for {invitation.recipient!r} delivered to "
                 f"{self.owner!r}'s mailbox"
             )
-        self._messages.append(invitation)
+        invitation_id = invitation.invitation_id
+        if invitation_id in self._messages:
+            raise InvitationError(
+                f"invitation {invitation_id} is already in "
+                f"{self.owner!r}'s mailbox"
+            )
+        self._messages[invitation_id] = invitation
+        if invitation_id not in self._read:
+            self._unread[invitation_id] = invitation
+        self._pending[invitation_id] = invitation
 
     def unread(self) -> list[Invitation]:
-        return [
-            message
-            for message in self._messages
-            if message.invitation_id not in self._read
-        ]
+        return list(self._unread.values())
 
     def mark_read(self, invitation_id: str) -> None:
         self._read.add(invitation_id)
+        self._unread.pop(invitation_id, None)
 
     def all(self) -> list[Invitation]:
-        return list(self._messages)
+        return list(self._messages.values())
 
     def pending(self) -> list[Invitation]:
-        return [
-            message
-            for message in self._messages
+        self._pending = {
+            invitation_id: message
+            for invitation_id, message in self._pending.items()
             if message.status is InvitationStatus.PENDING
-        ]
+        }
+        return list(self._pending.values())
 
     def find(self, invitation_id: str) -> Optional[Invitation]:
-        for message in self._messages:
-            if message.invitation_id == invitation_id:
-                return message
-        return None
+        return self._messages.get(invitation_id)
 
     def __len__(self) -> int:
         return len(self._messages)

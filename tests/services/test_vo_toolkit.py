@@ -1,5 +1,8 @@
 """The VO Management toolkit editions and the join flow (Fig. 9)."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.errors import MembershipError
@@ -10,6 +13,8 @@ from repro.scenario.aircraft import (
     ROLE_OPTIMIZATION,
     ROLE_STORAGE,
 )
+from repro.scenario.workloads import formation_workload
+from repro.vo.organization import VirtualOrganization
 
 
 @pytest.fixture()
@@ -157,3 +162,43 @@ class TestDiscovery:
         services = edition.discover(ROLE_OPTIMIZATION)
         assert [s.provider for s in services] == ["OptimCo"]
         assert scenario.transport.clock.elapsed_ms > before
+
+
+class TestHostForgetsDissolvedVOs:
+    """A long-lived host keeps only VOs that have not dissolved."""
+
+    def test_dissolved_vos_are_released(self):
+        fixture = formation_workload(2)
+        edition = fixture.initiator_edition
+        names = []
+        for index in range(20):
+            contract = dataclasses.replace(
+                fixture.contract, vo_name=f"{fixture.contract.vo_name}-{index}"
+            )
+            vo = edition.create_vo(contract)
+            service = edition.enable_trust_negotiation(url=f"urn:vo:tn:{index}")
+            try:
+                outcome = edition.execute_formation(
+                    fixture.plans(), at=contract.created_at
+                )
+                vo.begin_operation()
+                vo.dissolve()
+            finally:
+                service.close()
+            assert len(outcome.joined) == 2
+            names.append(contract.vo_name)
+        del vo
+        gc.collect()
+        # The edition still holds the VO it formed last.  Other tests'
+        # VOs may be alive in this process, so count only this test's.
+        live = [
+            o for o in gc.get_objects()
+            if isinstance(o, VirtualOrganization)
+            and o.contract.vo_name in names
+        ]
+        assert len(live) <= 1
+        response = fixture.transport.call(
+            edition.host.url, "MonitorVO", {"voName": names[-1]}
+        )
+        assert response["phase"] == "unknown"
+        assert response["members"] == []

@@ -134,3 +134,35 @@ def test_package_needs_only_the_standard_library():
         capture_output=True, text=True, env=env, check=True,
     )
     assert json.loads(result.stdout) == ["repro"]
+
+
+_EVENT_LOOP_MODULES = ("asyncio", "ssl", "concurrent.futures")
+
+
+@pytest.mark.parametrize("module", [
+    "repro",
+    "repro.api",
+    "repro.cluster",
+    "repro.scenario.workloads",
+    "repro.services.tn_client",
+    "repro.hardening",
+])
+def test_sync_entry_points_do_not_load_the_event_loop(module):
+    """Only code that runs a loop imports ``asyncio``, so the sync stack
+    pays neither its import time nor its memory (nor ``ssl``'s)."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"importlib.import_module({module!r})\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = set(json.loads(result.stdout))
+    assert loaded.isdisjoint(_EVENT_LOOP_MODULES), sorted(
+        loaded.intersection(_EVENT_LOOP_MODULES)
+    )
