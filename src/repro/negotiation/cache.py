@@ -10,13 +10,16 @@ re-runs cheap:
 - after a successful negotiation, the executed trust sequence (who
   disclosed which credential for which requirement) is cached under
   ``(requester, controller, resource)``;
-- a later negotiation for the same key *replays* the cached sequence:
-  the policy-evaluation phase is skipped entirely and each cached
-  credential is re-verified (signature, validity, revocation,
-  ownership) and re-checked against its term;
-- any failure — an expired or revoked credential, a changed profile, a
-  policy now unsatisfied — invalidates the entry and falls back to a
-  full negotiation.
+- a later negotiation for the same key *replays* the cached sequence
+  through :meth:`~repro.negotiation.core.NegotiationCore.replay`: the
+  policy-evaluation phase is skipped entirely, and the core's own
+  exchange phase re-challenges and re-verifies each cached credential
+  (signature, validity, revocation, ownership, its term) with the same
+  trust-epoch recheck, message accounting and obs events as a full
+  negotiation;
+- any failure — an expired or revoked credential, a credential that
+  left the profile, a policy now unsatisfied — invalidates the entry
+  and falls back to a full negotiation.
 
 Each cached sequence also records its *provenance*: the ``(issuer,
 serial)`` pairs of the credentials it replays.  Every cache registers
@@ -34,45 +37,19 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from repro.credentials.credential import Credential
-from repro.errors import CredentialRevokedError
+from repro.errors import ReproError
 from repro.negotiation.agent import TrustXAgent
+from repro.negotiation.core import NegotiationCore, drive
 from repro.negotiation.engine import (
     DEFAULT_NEGOTIATION_TIME,
     NegotiationEngine,
-    negotiate,
 )
-from repro.negotiation.outcomes import NegotiationResult, TranscriptEvent
+from repro.negotiation.outcomes import NegotiationResult
+from repro.negotiation.sequence import SequenceStep, TrustSequence
 from repro.obs import count as obs_count, span as obs_span
-from repro.policy.terms import Term
-from repro.trust import register_sequence_cache, trust_epoch
+from repro.trust import register_sequence_cache
 
-__all__ = ["CachedStep", "SequenceCache", "CachingNegotiator"]
-
-
-def _revoked_since(
-    epoch: int, accepted: list[tuple[TrustXAgent, Credential]]
-) -> bool:
-    """Whether a retraction since trust epoch ``epoch`` revoked one of
-    the ``(receiver, credential)`` disclosures accepted so far: one
-    integer compare while the epoch stands still."""
-    if trust_epoch() == epoch:
-        return False
-    try:
-        for receiver, credential in accepted:
-            receiver.ensure_disclosure_not_revoked(credential)
-    except CredentialRevokedError:
-        return True
-    return False
-
-
-@dataclass(frozen=True)
-class CachedStep:
-    """One disclosure of a cached trust sequence."""
-
-    discloser: str
-    credential_id: str
-    term: Optional[Term]
+__all__ = ["SequenceCache", "CachingNegotiator"]
 
 
 @dataclass(frozen=True)
@@ -80,8 +57,8 @@ class CachedSequence:
     requester: str
     controller: str
     resource: str
-    steps: tuple[CachedStep, ...]
-    cached_at: datetime
+    #: The executed trust sequence, grant last.
+    steps: tuple[SequenceStep, ...]
     #: ``(issuer, serial)`` of every credential the sequence replays —
     #: the hook a retraction event uses to evict exactly the sequences
     #: it contradicts.  Empty when the storer could not resolve the
@@ -151,35 +128,22 @@ class SequenceCache:
         """
         if not result.success or result.tree is None:
             return None
+        # Each side's disclosures are listed in sequence order.
+        requester_ids = iter(result.disclosed_by_requester)
+        controller_ids = iter(result.disclosed_by_controller)
         steps = []
         for node in result.sequence:
-            if node.is_root:
-                continue
-            credential_id = node.credential_id
-            if credential_id is None:
-                # Credential chosen through an edge: recover it from the
-                # per-side disclosure lists by position.
-                continue
-            steps.append(
-                CachedStep(node.owner, credential_id, node.term)
-            )
-        # Fall back to disclosure lists when node-level ids are absent.
-        if len(steps) != len(result.sequence) - 1:
-            steps = []
-            requester_iter = iter(result.disclosed_by_requester)
-            controller_iter = iter(result.disclosed_by_controller)
-            for node in result.sequence:
-                if node.is_root:
-                    continue
+            credential_id = None
+            if not node.is_root:
                 source = (
-                    requester_iter
+                    requester_ids
                     if node.owner == result.requester
-                    else controller_iter
+                    else controller_ids
                 )
-                try:
-                    steps.append(CachedStep(node.owner, next(source), node.term))
-                except StopIteration:
+                credential_id = next(source, None)
+                if credential_id is None:
                     return None
+            steps.append(SequenceStep(node, node.owner, credential_id))
         provenance = set()
         if agents:
             for step in steps:
@@ -193,7 +157,6 @@ class SequenceCache:
             controller=result.controller,
             resource=result.resource,
             steps=tuple(steps),
-            cached_at=DEFAULT_NEGOTIATION_TIME,
             provenance=frozenset(provenance),
         )
         key = self._key(result.requester, result.controller, result.resource)
@@ -299,69 +262,17 @@ class CachingNegotiator:
     ) -> Optional[NegotiationResult]:
         """Re-run only the exchange phase over the cached sequence.
 
-        Returns None when replay is impossible (missing credential),
-        any re-verification fails, or a credential it accepted is
-        retracted mid-replay, triggering a full negotiation.
+        Returns None when replay is impossible (a cached credential
+        left the profile), any re-verification fails, or a credential
+        it accepted is retracted mid-replay, triggering a full
+        negotiation.
         """
-        agents = {requester.name: requester, controller.name: controller}
-        transcript = [
-            TranscriptEvent("exchange", requester.name, "cache-replay",
-                            cached.resource)
-        ]
-        disclosed_requester: list[str] = []
-        disclosed_controller: list[str] = []
-        exchange_messages = 0
-        epoch = trust_epoch()
-        accepted_credentials: list[tuple[TrustXAgent, Credential]] = []
-        for step in cached.steps:
-            if _revoked_since(epoch, accepted_credentials):
-                return None
-            discloser = agents.get(step.discloser)
-            receiver = (
-                controller if discloser is requester else requester
+        core = NegotiationCore(requester.name, controller.name)
+        try:
+            result = drive(
+                core.replay(cached.resource, TrustSequence(cached.steps), at),
+                {requester.name: requester, controller.name: controller},
             )
-            if discloser is None or step.credential_id not in discloser.profile:
-                return None
-            credential = discloser.profile.get(step.credential_id)
-            nonce = receiver.validator.issue_challenge()
-            try:
-                disclosure = discloser.make_disclosure(
-                    -1, credential, step.term, nonce
-                )
-            except Exception:
-                return None
-            exchange_messages += 1
-            accepted, reason, effective = receiver.verify_disclosure(
-                disclosure, step.term, at, nonce
-            )
-            transcript.append(TranscriptEvent(
-                "exchange", discloser.name,
-                "disclose" if accepted else "disclose-rejected",
-                f"{credential.cred_type} ({reason})",
-            ))
-            if not accepted:
-                return None
-            if not receiver.strategy.eager_disclosure:
-                exchange_messages += 1
-            accepted_credentials.append((receiver, effective))
-            if discloser is requester:
-                disclosed_requester.append(credential.cred_id)
-            else:
-                disclosed_controller.append(credential.cred_id)
-        if _revoked_since(epoch, accepted_credentials):
+        except ReproError:
             return None
-        exchange_messages += 1  # the grant
-        transcript.append(TranscriptEvent(
-            "exchange", controller.name, "grant", cached.resource
-        ))
-        return NegotiationResult(
-            resource=cached.resource,
-            requester=requester.name,
-            controller=controller.name,
-            success=True,
-            transcript=tuple(transcript),
-            policy_messages=0,
-            exchange_messages=exchange_messages,
-            disclosed_by_requester=tuple(disclosed_requester),
-            disclosed_by_controller=tuple(disclosed_controller),
-        )
+        return result if result.success else None

@@ -161,8 +161,8 @@ class NegotiationCore:
 
     Parties are identified by *name* only; the driver resolves names to
     agents when fulfilling effects.  Per-run state (tree, transcript,
-    selected view) is rebuilt by :meth:`run` and stays readable
-    afterwards for introspection.
+    selected view) is rebuilt by :meth:`run` or :meth:`replay` and
+    stays readable afterwards for introspection.
     """
 
     requester: str
@@ -172,8 +172,10 @@ class NegotiationCore:
     view_limit: int = 64
     view_selection: str = "first"
 
-    # Per-run state, rebuilt by run().
-    tree: NegotiationTree = field(init=False, repr=False, default=None)
+    # Per-run state, rebuilt by run() and replay() (which has no tree).
+    tree: Optional[NegotiationTree] = field(
+        init=False, repr=False, default=None
+    )
     transcript: list = field(init=False, repr=False, default_factory=list)
     #: Credential behind each edge a term node was expanded through.
     _edge_credentials: dict[int, str] = field(
@@ -291,6 +293,29 @@ class NegotiationCore:
         return (yield from self._exchange_phase(
             resource, sequence, at, policy_messages
         ))
+
+    def replay(
+        self,
+        resource: str,
+        sequence: TrustSequence,
+        at: Optional[datetime] = None,
+    ) -> Generator[AgentOp, Any, NegotiationResult]:
+        """Replay a cached trust sequence: the exchange phase alone.
+
+        The policy phase is skipped, but every step is re-challenged,
+        re-verified and rechecked for revocation exactly as in
+        :meth:`run`.  There is no tree or view, so the result carries
+        ``tree=None`` and an empty ``sequence``.
+        """
+        at = at or DEFAULT_NEGOTIATION_TIME
+        self.tree = None
+        self.transcript = []
+        self._view = None
+        self._strategies = {}
+        for party in (self.requester, self.controller):
+            self._strategies[party] = yield AgentOp(party, OP_STRATEGY)
+        self._log("exchange", self.requester, "cache-replay", resource)
+        return (yield from self._exchange_phase(resource, sequence, at, 0))
 
     # --------------------------------------------------- policy evaluation --
 
@@ -586,9 +611,10 @@ class NegotiationCore:
         # Group-condition bookkeeping: which edge each disclosed node
         # belongs to, and what its receiver effectively learned.
         edge_of_child: dict[int, int] = {}
-        for node_id, edge_id in self._view.chosen_edges.items():
-            for child in self.tree.edge(edge_id).children:
-                edge_of_child[child] = edge_id
+        if self._view is not None:
+            for edge_id in self._view.chosen_edges.values():
+                for child in self.tree.edge(edge_id).children:
+                    edge_of_child[child] = edge_id
         received_per_edge: dict[int, list] = {}
         for step in sequence.steps:
             try:
@@ -730,7 +756,10 @@ class NegotiationCore:
             controller=self.controller,
             success=True,
             tree=self.tree,
-            sequence=tuple(step.node for step in sequence.steps),
+            sequence=(
+                () if self.tree is None
+                else tuple(step.node for step in sequence.steps)
+            ),
             transcript=tuple(self.transcript),
             policy_messages=policy_messages,
             exchange_messages=exchange_messages,

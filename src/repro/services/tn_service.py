@@ -849,8 +849,7 @@ class TNWebService:
                     return
 
     def _credential_response(self, session: NegotiationSession) -> dict:
-        """Bill the exchange phase (once), store in the sequence cache,
-        and build the response."""
+        """Bill the exchange phase (once) and build the response."""
         self._recheck_retractions(session)
         result = session.result
         session.phase = "exchange"
@@ -866,11 +865,6 @@ class TNWebService:
                 signs=disclosures, verifies=2 * disclosures
             )
             session.exchange_phase_billed = True
-        if self.cache is not None and result.success:
-            agents = {self.owner.name: self.owner}
-            if session.requester is not None:
-                agents[session.requester.name] = session.requester
-            self.cache.store(result, agents=agents)
         return {
             "negotiationId": session.session_id,
             "success": result.success,

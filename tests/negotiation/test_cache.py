@@ -7,6 +7,7 @@ from repro.credentials.revocation import RevocationRegistry
 from repro.trust import TrustBus
 from repro.crypto.keys import Keyring
 from repro.negotiation.cache import CachingNegotiator, SequenceCache
+from repro.negotiation.engine import NegotiationEngine
 from tests.conftest import ISSUE_AT, NEGOTIATION_AT, make_agent
 
 
@@ -79,6 +80,34 @@ class TestCaching:
         assert not result.success
         assert negotiator.cache.invalidations == 1
         assert len(negotiator.cache) == 0
+
+    def test_credential_left_profile_falls_back_to_full_negotiation(
+        self, world, shared_keypair
+    ):
+        """A cached credential the discloser no longer holds makes the
+        replay impossible: the entry is invalidated and the full
+        negotiation's result (here over a second badge) is returned."""
+        ca, _, requester, controller, _ = world
+        spare = ca.issue("Badge", "Req", shared_keypair.fingerprint, {},
+                         ISSUE_AT)
+        requester.profile.add(spare)
+        negotiator = CachingNegotiator()
+        first = negotiator.negotiate(requester, controller, "RES",
+                                     at=NEGOTIATION_AT)
+        assert first.success
+        (used,) = first.disclosed_by_requester
+        requester.profile.remove(used)
+        result = negotiator.negotiate(requester, controller, "RES",
+                                      at=NEGOTIATION_AT)
+        assert negotiator.cache.hits == 0
+        assert negotiator.cache.misses == 2
+        assert negotiator.cache.invalidations == 1
+        assert result.success
+        assert result.policy_messages > 0
+        assert used not in result.disclosed_by_requester
+        assert result.to_audit_record() == NegotiationEngine(
+            requester, controller
+        ).run("RES", at=NEGOTIATION_AT).to_audit_record()
 
     def test_failed_negotiation_not_cached(self, world):
         _, _, requester, controller, _ = world

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.negotiation.cache import SequenceCache
 from repro.negotiation.core import (
+    OP_CANDIDATES_FOR,
+    OP_POLICIES_PROTECTING,
+    OP_RELEASES_FREELY,
     AgentOp,
     NegotiationCore,
     drive,
@@ -12,6 +16,7 @@ from repro.negotiation.core import (
 )
 from repro.negotiation.engine import NegotiationEngine
 from repro.negotiation.outcomes import FailureReason
+from repro.negotiation.sequence import TrustSequence
 from repro.scenario.workloads import chain_workload
 
 
@@ -39,8 +44,14 @@ def _agents(fixture) -> dict:
 def _collect_ops(fixture, **overrides):
     """Drive the core with a recording driver; return (ops, result)."""
     core = _core(fixture, **overrides)
-    agents = _agents(fixture)
-    gen = core.run(fixture.resource, fixture.negotiation_time())
+    return _record_ops(
+        core.run(fixture.resource, fixture.negotiation_time()),
+        _agents(fixture),
+    )
+
+
+def _record_ops(gen, agents):
+    """Run a core generator, recording every effect; (ops, result)."""
     ops: list[AgentOp] = []
     reply = None
     exc = None
@@ -78,6 +89,34 @@ class TestEffectVocabulary:
             fixture.requester, fixture.controller
         ).run(fixture.resource, at=fixture.negotiation_time())
         assert custom.to_audit_record() == engine_result.to_audit_record()
+
+
+class TestReplay:
+    def test_replay_requests_no_policy_phase_effects(self, fixture):
+        full = drive(
+            _core(fixture).run(fixture.resource, fixture.negotiation_time()),
+            _agents(fixture),
+        )
+        cached = SequenceCache().store(full)
+        ops, replayed = _record_ops(
+            _core(fixture).replay(
+                fixture.resource, TrustSequence(cached.steps),
+                fixture.negotiation_time(),
+            ),
+            _agents(fixture),
+        )
+        assert replayed.success
+        assert {op.op for op in ops}.isdisjoint({
+            OP_POLICIES_PROTECTING, OP_CANDIDATES_FOR, OP_RELEASES_FREELY,
+        })
+        assert replayed.policy_messages == 0
+        assert replayed.tree is None and replayed.sequence == ()
+        assert replayed.transcript[0].action == "cache-replay"
+        assert replayed.transcript[-1].action == "grant"
+        assert replayed.disclosed_by_requester == full.disclosed_by_requester
+        assert (
+            replayed.disclosed_by_controller == full.disclosed_by_controller
+        )
 
 
 class TestDrive:

@@ -4,9 +4,10 @@ import pytest
 
 from repro import obs
 from repro.credentials.sensitivity import Sensitivity
+from repro.negotiation.cache import CachingNegotiator
 from repro.negotiation.engine import negotiate
 from repro.obs import REDACTED, validate_trace
-from repro.scenario.workloads import formation_workload
+from repro.scenario.workloads import chain_workload, formation_workload
 from tests.conftest import ISSUE_AT, NEGOTIATION_AT
 
 
@@ -113,6 +114,40 @@ class TestNegotiationInstrumentation:
         assert obs.spans() == []
         assert obs.events() == []
         assert "negotiation.runs" not in obs.metrics()
+
+
+class TestReplayInstrumentation:
+    def test_replay_traces_every_disclosure(self):
+        """A sequence-cache replay runs the core's exchange phase, so
+        each replayed disclosure is verified in a ``tn.verify`` span and
+        audited as a ``credential.disclosed`` event."""
+        fixture = chain_workload(4)
+        negotiator = CachingNegotiator()
+        at = fixture.negotiation_time()
+        negotiator.negotiate(
+            fixture.requester, fixture.controller, fixture.resource, at=at
+        )
+        obs.enable()
+        result = negotiator.negotiate(
+            fixture.requester, fixture.controller, fixture.resource, at=at
+        )
+        assert result.success and negotiator.cache.hits == 1
+        assert result.disclosures == 4
+        disclosed = [
+            e for e in obs.events() if e.name == "credential.disclosed"
+        ]
+        assert len(disclosed) == result.disclosures
+        spans = obs.spans()
+        by_id = {s.span_id: s for s in spans}
+        verifies = [s for s in spans if s.name == "tn.verify"]
+        assert len(verifies) == result.disclosures
+        for verify in verifies:
+            exchange = by_id[verify.parent_id]
+            assert exchange.name == "tn.exchange_phase"
+            assert by_id[exchange.parent_id].name == "tn.replay"
+        report = validate_trace(spans)
+        assert [root.name for root in report["roots"]] == ["tn.replay"]
+        assert report["orphans"] == []
 
 
 class TestServiceInstrumentation:
