@@ -24,7 +24,7 @@ from xml.etree import ElementTree as ET
 from repro.credentials.attributes import AttributeValue
 from repro.credentials.sensitivity import Sensitivity
 from repro.errors import CredentialFormatError
-from repro.xmlutil.canonical import canonicalize, element_digest, parse_xml
+from repro.xmlutil.canonical import canonicalize, parse_xml
 
 __all__ = ["ValidityPeriod", "Credential"]
 
@@ -169,22 +169,7 @@ class Credential:
         envelope = ET.Element("credential")
         envelope.append(self._header_element())
         envelope.append(self._content_element())
-        # The credential is frozen and its hash/equality already cover
-        # exactly the signed fields (signature_b64 is compare=False), so
-        # `self` is a sound memo key for the canonical form.
-        return canonicalize(
-            envelope, cache_key=("signing", self)
-        ).encode("utf-8")
-
-    def signing_digest(self) -> bytes:
-        """SHA-256 of :meth:`signing_bytes`, memoized in
-        :data:`repro.perf.DIGEST_CACHE` under the same key as the
-        canonical form — verification paths hash each credential once,
-        not once per signature check."""
-        envelope = ET.Element("credential")
-        envelope.append(self._header_element())
-        envelope.append(self._content_element())
-        return element_digest(envelope, cache_key=("signing", self))
+        return canonicalize(envelope).encode("utf-8")
 
     def to_element(self) -> ET.Element:
         root = ET.Element("credential")
@@ -195,12 +180,7 @@ class Credential:
         return root
 
     def to_xml(self) -> str:
-        # signature_b64 is excluded from the dataclass hash, so it must
-        # appear explicitly in the key: the same body signed vs unsigned
-        # serializes differently.
-        return canonicalize(
-            self.to_element(), cache_key=("xml", self, self.signature_b64)
-        )
+        return canonicalize(self.to_element())
 
     @classmethod
     def from_element(cls, root: ET.Element) -> "Credential":

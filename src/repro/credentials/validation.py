@@ -44,37 +44,31 @@ __all__ = [
 
 def cached_verify_b64(
     key: PublicKey, message: bytes, signature_b64: str, issuer: str,
-    message_digest: Optional[bytes] = None,
     serial: Optional[int] = None,
 ) -> bool:
     """RSA verification memoized in :data:`repro.perf.SIGNATURE_CACHE`.
 
     The verdict of ``verify_b64`` is a pure function of (key, message,
     signature), so the cache key is the key's fingerprint plus the
-    message digest plus the signature.  Entries are tagged with
-    ``(issuer, serial)`` so that a retraction event naming exactly that
-    credential (see :meth:`repro.trust.TrustBus.retract`) evicts the
-    verdict it contradicts without flushing the issuer's other
-    credentials — revocation is the one nonmonotonic event in the trust
-    model, and the cache must neither paper over it nor overpay for it.
-    Callers without a serial (none today) fall back to the bare
-    issuer-name tag, which the whole-issuer sweep
+    SHA-256 of the bytes being verified plus the signature: two
+    credentials that compare equal but serialize differently (one
+    instant in two UTC offsets) never share a verdict.  Entries are
+    tagged with ``(issuer, serial)`` so that a retraction event naming
+    exactly that credential (see :meth:`repro.trust.TrustBus.retract`)
+    evicts the verdict it contradicts without flushing the issuer's
+    other credentials — revocation is the one nonmonotonic event in
+    the trust model, and the cache must neither paper over it nor
+    overpay for it.  Callers without a serial (none today) fall back to
+    the bare issuer-name tag, which the whole-issuer sweep
     (:func:`repro.perf.drop_issuer_signatures`) still matches.
-
-    Callers that already hold the SHA-256 of ``message`` (e.g. from
-    :meth:`Credential.signing_digest`, itself memoized in
-    :data:`repro.perf.DIGEST_CACHE`) pass it as ``message_digest`` so
-    the hot path skips re-hashing the message per verification.
 
     Ownership proofs are deliberately **not** routed through here: a
     nonce is fresh per challenge, so caching its verification would
     never hit and would bloat the cache.
     """
-    if message_digest is None:
-        message_digest = hashlib.sha256(message).digest()
     cache_key = (
         key.fingerprint,
-        message_digest,
+        hashlib.sha256(message).digest(),
         signature_b64,
     )
     return SIGNATURE_CACHE.get_or_compute(
@@ -186,8 +180,7 @@ class CredentialValidator:
         for link in reversed(chain.links):
             if not cached_verify_b64(
                 key, link.signing_bytes(), link.signature_b64 or "",
-                link.issuer, message_digest=link.signing_digest(),
-                serial=link.serial,
+                link.issuer, serial=link.serial,
             ):
                 return None, len(chain)
             if self.revocations.is_revoked(link.issuer, link.serial):
@@ -221,7 +214,6 @@ class CredentialValidator:
                 credential.signing_bytes(),
                 credential.signature_b64,
                 credential.issuer,
-                message_digest=credential.signing_digest(),
                 serial=credential.serial,
             )
         )

@@ -29,11 +29,15 @@ class PublicKey:
     """Public key with a stable fingerprint for identification."""
 
     raw: rsa.RSAPublicKey
+    fingerprint: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def fingerprint(self) -> str:
+    def __post_init__(self) -> None:
+        # Derived once: verification keys every signature check by it,
+        # and every issued token and ticket names its holder by it.
         material = f"{self.raw.modulus:x}:{self.raw.exponent:x}".encode()
-        return hashlib.sha256(material).hexdigest()[:32]
+        object.__setattr__(
+            self, "fingerprint", hashlib.sha256(material).hexdigest()[:32]
+        )
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         return rsa.verify(self.raw, message, signature)

@@ -6,8 +6,6 @@ stack imports *it*.
 """
 
 from repro.perf.caches import (
-    CANONICAL_CACHE,
-    DIGEST_CACHE,
     SIGNATURE_CACHE,
     XPATH_CACHE,
     CacheStats,
@@ -25,8 +23,6 @@ __all__ = [
     "all_stats",
     "clear_all_caches",
     "XPATH_CACHE",
-    "CANONICAL_CACHE",
-    "DIGEST_CACHE",
     "SIGNATURE_CACHE",
     "drop_issuer_signatures",
 ]

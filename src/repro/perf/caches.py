@@ -20,14 +20,16 @@ creating an import cycle.
 Cache instances used across the stack:
 
 - :data:`XPATH_CACHE` — expression string → parsed XPath AST.
-- :data:`CANONICAL_CACHE` — caller-supplied hashable key → canonical
-  XML string (keys are chosen by the caller because Elements are
-  mutable and unhashable; see :func:`repro.xmlutil.canonical.canonicalize`).
-- :data:`DIGEST_CACHE` — caller-supplied key → SHA-256 digest bytes.
 - :data:`SIGNATURE_CACHE` — ``(key fingerprint, message digest,
   signature)`` → bool, tagged ``(issuer, serial)`` so a retraction
   event (:mod:`repro.trust`) can drop exactly the entries it
   contradicts — per credential, not per issuer.
+
+Canonical XML forms and their digests are not cached.  A key chosen by
+the caller is only sound if it covers every serialized byte (a frozen
+credential's equality does not: two instants in different UTC offsets
+compare equal but serialize differently), and every entry keeps its
+key and text alive for the life of the process.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "all_stats",
     "clear_all_caches",
     "XPATH_CACHE",
-    "CANONICAL_CACHE",
-    "DIGEST_CACHE",
     "SIGNATURE_CACHE",
     "drop_issuer_signatures",
 ]
@@ -281,12 +281,6 @@ def clear_all_caches(reset_counters: bool = False) -> None:
 #: XPath expression string → parsed AST.  Policy portfolios reuse a
 #: small set of conditions across thousands of evaluations.
 XPATH_CACHE = LRUCache("xpath_ast", capacity=2048)
-
-#: Caller-chosen hashable key → canonical XML string.
-CANONICAL_CACHE = LRUCache("canonical_xml", capacity=8192)
-
-#: Caller-chosen hashable key → SHA-256 digest bytes.
-DIGEST_CACHE = LRUCache("element_digest", capacity=8192)
 
 #: (issuer-key fingerprint, message digest, signature) → bool, tagged
 #: ``(issuer, serial)`` for retraction-driven invalidation: a trust

@@ -67,7 +67,9 @@ class Mailbox:
     Messages are keyed by ``invitation_id`` in delivery order.  The
     unread and pending indexes only shrink, so a lookup costs what the
     mailbox still holds open, not its whole history: an invitation that
-    leaves ``PENDING`` never returns to it.
+    leaves ``PENDING`` never returns to it.  The history itself ends at
+    dissolution, when :meth:`discard_answered` drops the dissolved VO's
+    answered invitations.
     """
 
     owner: str
@@ -113,6 +115,26 @@ class Mailbox:
 
     def find(self, invitation_id: str) -> Optional[Invitation]:
         return self._messages.get(invitation_id)
+
+    def discard_answered(self, vo_name: str) -> None:
+        """Drop every invitation to ``vo_name`` that is no longer
+        pending.
+
+        Called when the VO dissolves: what a member keeps of a finished
+        VO is its participation ticket, not the invitation (and its
+        terms text) that led there.  Pending invitations stay.
+        """
+        answered = [
+            invitation_id
+            for invitation_id, message in self._messages.items()
+            if message.vo_name == vo_name
+            and message.status is not InvitationStatus.PENDING
+        ]
+        for invitation_id in answered:
+            del self._messages[invitation_id]
+            self._unread.pop(invitation_id, None)
+            self._pending.pop(invitation_id, None)
+            self._read.discard(invitation_id)
 
     def __len__(self) -> int:
         return len(self._messages)

@@ -401,8 +401,9 @@ class VirtualOrganization:
         """Nullify all contractual bindings (Section 2).
 
         As part of the final operations, every member receives a
-        participation ticket usable in future VO formations.  Returns
-        the issued tickets.
+        participation ticket usable in future VO formations; the ticket
+        is all it keeps of the VO (its token, transient policies and
+        answered invitations go).  Returns the issued tickets.
         """
         self.lifecycle.require(VOPhase.OPERATION)
         at = at or self.contract.created_at
@@ -416,6 +417,7 @@ class VirtualOrganization:
         for member in self._members.values():
             member.drop_token(self.contract.vo_name)
             member.clear_transient_policies()
+            member.mailbox.discard_answered(self.contract.vo_name)
         self._members.clear()
         self._tokens.clear()
         self.initiator.clear_vo_policies()

@@ -6,20 +6,26 @@ or incidental whitespace.  This module implements a small canonical form
 inspired by XML-C14N:
 
 - attributes are emitted in sorted order;
-- text is escaped minimally and surrounding whitespace of *structural*
-  (element-only) nodes is dropped;
+- text and tails lose their surrounding whitespace, so the indentation
+  of *structural* (element-only) nodes disappears, and are escaped
+  minimally;
+- comments and processing instructions are dropped;
 - no XML declaration, no namespace rewriting (X-TNL documents are
   namespace-free).
+
+The writer is one pass over the tree and caches nothing: signed
+documents (credentials, certificates, policies) are rebuilt as trees
+and canonicalized on every call, so what is signed is always what the
+tree holds now.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, Optional
+from typing import Callable
 from xml.etree import ElementTree as ET
 
 from repro.errors import XMLError
-from repro.perf import CANONICAL_CACHE, DIGEST_CACHE
 
 __all__ = ["canonicalize", "element_digest", "parse_xml"]
 
@@ -33,90 +39,63 @@ def parse_xml(text: str) -> ET.Element:
 
 
 def _escape_text(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )
+    if "&" in text or "<" in text or ">" in text:
+        text = (
+            text.replace("&", "&amp;")
+            .replace("<", "&lt;")
+            .replace(">", "&gt;")
+        )
+    return text
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    return text
 
 
-def _is_structural(element: ET.Element) -> bool:
-    """True when the element only exists to hold child elements."""
-    has_children = len(element) > 0
-    text_blank = element.text is None or not element.text.strip()
-    return has_children and text_blank
-
-
-def _write(element: ET.Element, parts: list[str]) -> None:
+def _write(element: ET.Element, append: Callable[[str], None]) -> None:
     tag = element.tag
     if not isinstance(tag, str):
         # Comments and processing instructions are not part of the
-        # canonical form.
+        # canonical form (their tails are, via the parent).
         return
-    parts.append(f"<{tag}")
-    for name in sorted(element.attrib):
-        parts.append(f' {name}="{_escape_attr(element.attrib[name])}"')
-    children = list(element)
-    text = element.text or ""
-    if not children and not text:
-        parts.append(f"></{tag}>")
-        return
-    parts.append(">")
-    if text:
-        if _is_structural(element):
-            pass  # drop indentation-only whitespace
-        else:
-            parts.append(_escape_text(text.strip()))
-    for child in children:
-        _write(child, parts)
-        if child.tail and child.tail.strip():
-            parts.append(_escape_text(child.tail.strip()))
-    parts.append(f"</{tag}>")
+    attrib = element.attrib
+    if attrib:
+        append(f"<{tag}")
+        for name in sorted(attrib):
+            append(f' {name}="{_escape_attr(attrib[name])}"')
+        append(">")
+    else:
+        append(f"<{tag}>")
+    # Surrounding whitespace is dropped, so the indentation-only text
+    # of a structural (element-only) node writes nothing.
+    text = element.text
+    if text and (text := text.strip()):
+        append(_escape_text(text))
+    for child in element:
+        _write(child, append)
+        tail = child.tail
+        if tail and (tail := tail.strip()):
+            append(_escape_text(tail))
+    append(f"</{tag}>")
 
 
-def canonicalize(element: ET.Element | str,
-                 cache_key: Optional[Hashable] = None) -> str:
+def canonicalize(element: ET.Element | str) -> str:
     """Return the canonical string form of ``element``.
 
     Accepts either an Element or an XML string (which is parsed first).
     The output is stable across attribute ordering and pretty-printing
     whitespace, making it safe to sign and to compare.
-
-    Elements are mutable and unhashable, so memoization is strictly
-    opt-in: callers that can vouch the serialized content is fully
-    determined by some hashable value (e.g. a frozen
-    :class:`~repro.credentials.credential.Credential`) pass it as
-    ``cache_key`` and the canonical string is served from
-    :data:`repro.perf.CANONICAL_CACHE` on repeats.
     """
-    if cache_key is not None:
-        return CANONICAL_CACHE.get_or_compute(
-            cache_key, lambda: canonicalize(element)
-        )
     if isinstance(element, str):
         element = parse_xml(element)
     parts: list[str] = []
-    _write(element, parts)
+    _write(element, parts.append)
     return "".join(parts)
 
 
-def element_digest(element: ET.Element | str,
-                   cache_key: Optional[Hashable] = None) -> bytes:
-    """SHA-256 digest of the canonical form of ``element``.
-
-    ``cache_key`` has the same contract as in :func:`canonicalize`; a
-    keyed call memoizes the digest (and, transitively, the canonical
-    form) in :data:`repro.perf.DIGEST_CACHE`.
-    """
-    if cache_key is not None:
-        return DIGEST_CACHE.get_or_compute(
-            cache_key,
-            lambda: hashlib.sha256(
-                canonicalize(element, cache_key=cache_key).encode("utf-8")
-            ).digest(),
-        )
+def element_digest(element: ET.Element | str) -> bytes:
+    """SHA-256 digest of the canonical form of ``element``."""
     return hashlib.sha256(canonicalize(element).encode("utf-8")).digest()

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.perf import (
-    CANONICAL_CACHE,
-    DIGEST_CACHE,
     SIGNATURE_CACHE,
     XPATH_CACHE,
     LRUCache,
@@ -116,8 +114,7 @@ class TestLRUCache:
 class TestRegistryAndSwitch:
     def test_shared_instances_are_registered(self):
         caches = all_caches()
-        for instance in (XPATH_CACHE, CANONICAL_CACHE, DIGEST_CACHE,
-                         SIGNATURE_CACHE):
+        for instance in (XPATH_CACHE, SIGNATURE_CACHE):
             assert instance in caches
         stats = all_stats()
         assert "xpath_ast" in stats and "signature_verify" in stats

@@ -99,3 +99,70 @@ class TestMailboxMatchesListModel:
         with pytest.raises(InvitationError):
             mailbox.deliver(invitation)
         assert mailbox.all() == [invitation]
+
+
+class TestDiscardAnswered:
+    def _mailbox(self):
+        mailbox = Mailbox("Member")
+        invitations = {
+            key: Invitation(
+                vo_name=vo_name, role_name="R", sender="Init",
+                recipient="Member", terms="terms " * 40,
+                invitation_id=f"inv-d-{key}",
+            )
+            for key, vo_name in (
+                ("accepted", "VO-1"), ("declined", "VO-1"),
+                ("pending", "VO-1"), ("other", "VO-2"),
+            )
+        }
+        for invitation in invitations.values():
+            mailbox.deliver(invitation)
+        mailbox.mark_read("inv-d-accepted")
+        invitations["accepted"].accept()
+        invitations["declined"].decline()
+        invitations["other"].accept()
+        return mailbox, invitations
+
+    def test_answered_invitations_of_the_vo_go(self):
+        mailbox, invitations = self._mailbox()
+        mailbox.discard_answered("VO-1")
+        assert mailbox.find("inv-d-accepted") is None
+        assert mailbox.find("inv-d-declined") is None
+        assert mailbox.all() == [invitations["pending"], invitations["other"]]
+        assert mailbox.unread() == [invitations["pending"],
+                                    invitations["other"]]
+
+    def test_pending_and_other_vos_stay(self):
+        mailbox, invitations = self._mailbox()
+        mailbox.discard_answered("VO-1")
+        assert mailbox.pending() == [invitations["pending"]]
+        assert mailbox.find("inv-d-other") is invitations["other"]
+        mailbox.discard_answered("VO-1")
+        assert len(mailbox) == 2
+
+
+def test_dissolution_empties_members_mailboxes_of_the_vo():
+    from repro.scenario.workloads import formation_workload
+
+    fixture = formation_workload(2)
+    edition = fixture.initiator_edition
+    vo = edition.create_vo(fixture.contract)
+    service = edition.enable_trust_negotiation()
+    try:
+        edition.execute_formation(fixture.plans(),
+                                  at=fixture.contract.created_at)
+        members = [app.member for app in fixture.member_apps.values()]
+        assert all(len(member.mailbox) == 1 for member in members)
+        # An invitation to another VO, still unanswered at dissolution.
+        pending = Invitation(
+            vo_name="Later-VO", role_name="Role-00", sender="Init",
+            recipient=members[0].name, terms="terms",
+        )
+        members[0].mailbox.deliver(pending)
+        vo.begin_operation()
+        vo.dissolve()
+    finally:
+        service.close()
+    assert members[0].mailbox.all() == [pending]
+    assert members[0].mailbox.pending() == [pending]
+    assert len(members[1].mailbox) == 0
