@@ -31,121 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro import obs
-from repro.errors import ErrorCode
-from repro.credentials import (
-    AttributeCertificate,
-    Credential,
-    CredentialAuthority,
-    CredentialValidator,
-    RevocationRegistry,
-    SelectiveCredential,
-    Sensitivity,
-    ValidityPeriod,
-    VOMembershipToken,
-    XProfile,
-)
-from repro.crypto import KeyPair, Keyring
-from repro.faults.adversarial import Probe, build_probe
-from repro.faults.demo import run_demo as run_fault_demo
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.hardening import (
-    AdmissionController,
-    AdmissionStats,
-    GuardStats,
-    HardeningConfig,
-    Priority,
-    ProtocolGuard,
-    SoakConfig,
-    SoakReport,
-    run_soak,
-)
-from repro.negotiation.agent import TrustXAgent
+from repro import _lazy_exports, obs
 from repro.negotiation.cache import CachingNegotiator, SequenceCache
-from repro.negotiation.core import (
-    AgentOp,
-    NegotiationCore,
-    drive,
-    perform_agent_op,
-)
-from repro.negotiation.eager import eager_negotiate
 from repro.negotiation.engine import (
     DEFAULT_NEGOTIATION_TIME,
     NegotiationEngine,
     negotiate,
 )
-from repro.negotiation.outcomes import FailureReason, NegotiationResult
-from repro.negotiation.render import render_ascii, render_dot
-from repro.negotiation.sequence import TrustSequence
 from repro.negotiation.strategies import Strategy, escalated_strategy
-from repro.negotiation.tree import NegotiationTree, View
 from repro.obs import ObsConfig
-from repro.ontology import (
-    ConceptMapper,
-    MappingOutcome,
-    Ontology,
-    match_ontologies,
-    ontology_from_owl,
-    ontology_to_owl,
-)
-from repro.ontology.builtin import aerospace_reference_ontology
-from repro.perf import all_stats as perf_cache_stats, clear_all_caches
-from repro.policy import (
-    ComplianceChecker,
-    DisclosurePolicy,
-    PolicyBase,
-    parse_policies,
-    parse_policy,
-    policies_from_xacml,
-    policies_to_xacml,
-    policy_from_xml,
-    policy_to_xml,
-)
-from repro.scenario import AircraftScenario, build_aircraft_scenario
-from repro.scenario.engine import (
-    RoundState,
-    ScenarioConfig,
-    ScenarioReport,
-    run_scenario,
-)
-from repro.scenario.experiments import (
-    IsolationConfig,
-    IsolationReport,
-    MatrixConfig,
-    MatrixReport,
-    ScarcityConfig,
-    ScarcityReport,
-    cheater_isolation,
-    scarcity_market,
-    two_agent_matrix,
-)
-from repro.scenario.market import (
-    AgentStrategy,
-    MarketConfig,
-    Trader,
-    run_market_round,
-)
-from repro.scenario.population import Population, seat_name
-from repro.scenario.aircraft import (
-    ROLE_DESIGN_PORTAL,
-    ROLE_HPC,
-    ROLE_OPTIMIZATION,
-    ROLE_STORAGE,
-    build_fig1_workflow,
-    enable_selective_disclosure,
-)
-from repro.scenario.workloads import (
-    bushy_workload,
-    capacity_workload,
-    chain_workload,
-    formation_workload,
-    make_portfolio,
-    overlapping_ontologies,
-)
-from repro.services.clock import SimClock
 from repro.services.resilience import (
     CircuitBreaker,
     CircuitBreakerPolicy,
@@ -154,18 +50,8 @@ from repro.services.resilience import (
     ResilientTransport,
     RetryPolicy,
 )
-from repro.services.tn_client import TNClient
-from repro.services.tn_service import TNWebService
 from repro.services.transport import ChargeStats, LatencyModel, SimTransport
-from repro.services.vo_toolkit import (
-    FormationOutcome,
-    HostEdition,
-    InitiatorEdition,
-    JoinOutcome,
-    MemberEdition,
-    UNREACHABLE_ERRORS,
-)
-from repro.trust import (
+from repro.trust.bus import (
     RetractionReceipt,
     TrustBus,
     TrustEvent,
@@ -173,36 +59,121 @@ from repro.trust import (
     default_bus,
     trust_epoch,
 )
-from repro.cluster import (
-    HashRing,
-    HealthPolicy,
-    HedgePolicy,
-    ShardedTNService,
-    ShardNode,
-)
-from repro.obs.audit import AuditLogSink, AuditReport, verify_audit_log
-from repro.storage.document_store import XMLDocumentStore
-from repro.storage.session_store import (
-    InMemorySessionStore,
-    SessionStore,
-    WALSessionStore,
-)
-from repro.vo import (
-    Contract,
-    Role,
-    ServiceRegistry,
-    VirtualOrganization,
-    VOInitiator,
-    VOMember,
-)
-from repro.vo.monitoring import ViolationKind
 from repro.vo.reputation import (
     INITIAL_SCORE,
     ReputationEvent,
     ReputationRecord,
     ReputationSystem,
 )
-from repro.vo.registry import ServiceDescription
+
+if TYPE_CHECKING:
+    from repro.cluster.health import HealthPolicy
+    from repro.cluster.sharded import HedgePolicy
+    from repro.credentials.revocation import RevocationRegistry
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.hardening.config import HardeningConfig
+    from repro.negotiation.agent import TrustXAgent
+    from repro.negotiation.outcomes import NegotiationResult
+    from repro.services.clock import SimClock
+    from repro.services.vo_toolkit import (
+        HostEdition,
+        InitiatorEdition,
+        MemberEdition,
+    )
+    from repro.vo.initiator import VOInitiator
+    from repro.vo.member import VOMember
+
+# The modules imported above are the ones the configuration trio and
+# Negotiator run; VOToolkit imports the VO stack, and the fault injector
+# when it gets a plan, as it is built.  Every other name in __all__ is a
+# re-export from a module nothing here runs, imported on first access.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cluster.health": ("HealthPolicy",),
+    "repro.cluster.ring": ("HashRing",),
+    "repro.cluster.sharded": ("HedgePolicy", "ShardNode", "ShardedTNService"),
+    "repro.credentials.authority": ("CredentialAuthority",),
+    "repro.credentials.credential": ("Credential", "ValidityPeriod"),
+    "repro.credentials.profile": ("XProfile",),
+    "repro.credentials.revocation": ("RevocationRegistry",),
+    "repro.credentials.selective": ("SelectiveCredential",),
+    "repro.credentials.sensitivity": ("Sensitivity",),
+    "repro.credentials.validation": ("CredentialValidator",),
+    "repro.credentials.x509": ("AttributeCertificate", "VOMembershipToken"),
+    "repro.crypto.keys": ("KeyPair", "Keyring"),
+    "repro.errors": ("ErrorCode",),
+    "repro.faults.adversarial": ("Probe", "build_probe"),
+    "repro.faults.demo": ("run_demo as run_fault_demo",),
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.plan": ("FaultKind", "FaultPlan", "FaultSpec"),
+    "repro.hardening.admission": (
+        "AdmissionController", "AdmissionStats", "Priority",
+    ),
+    "repro.hardening.config": ("HardeningConfig",),
+    "repro.hardening.guard": ("GuardStats", "ProtocolGuard"),
+    "repro.hardening.soak": ("SoakConfig", "SoakReport", "run_soak"),
+    "repro.negotiation.agent": ("TrustXAgent",),
+    "repro.negotiation.core": (
+        "AgentOp", "NegotiationCore", "drive", "perform_agent_op",
+    ),
+    "repro.negotiation.eager": ("eager_negotiate",),
+    "repro.negotiation.outcomes": ("FailureReason", "NegotiationResult"),
+    "repro.negotiation.render": ("render_ascii", "render_dot"),
+    "repro.negotiation.sequence": ("TrustSequence",),
+    "repro.negotiation.tree": ("NegotiationTree", "View"),
+    "repro.obs.audit": ("AuditLogSink", "AuditReport", "verify_audit_log"),
+    "repro.ontology.builtin": ("aerospace_reference_ontology",),
+    "repro.ontology.graph": ("Ontology",),
+    "repro.ontology.mapping": ("ConceptMapper", "MappingOutcome"),
+    "repro.ontology.matching": ("match_ontologies",),
+    "repro.ontology.owl": ("ontology_from_owl", "ontology_to_owl"),
+    "repro.perf.caches": ("all_stats as perf_cache_stats", "clear_all_caches"),
+    "repro.policy.compliance": ("ComplianceChecker",),
+    "repro.policy.parser": ("parse_policies", "parse_policy"),
+    "repro.policy.policybase": ("PolicyBase",),
+    "repro.policy.rules": ("DisclosurePolicy",),
+    "repro.policy.xacml": ("policies_from_xacml", "policies_to_xacml"),
+    "repro.policy.xmlcodec": ("policy_from_xml", "policy_to_xml"),
+    "repro.scenario.aircraft": (
+        "AircraftScenario", "ROLE_DESIGN_PORTAL", "ROLE_HPC",
+        "ROLE_OPTIMIZATION", "ROLE_STORAGE", "build_aircraft_scenario",
+        "build_fig1_workflow", "enable_selective_disclosure",
+    ),
+    "repro.scenario.engine": (
+        "RoundState", "ScenarioConfig", "ScenarioReport", "run_scenario",
+    ),
+    "repro.scenario.experiments": (
+        "IsolationConfig", "IsolationReport", "MatrixConfig", "MatrixReport",
+        "ScarcityConfig", "ScarcityReport", "cheater_isolation",
+        "scarcity_market", "two_agent_matrix",
+    ),
+    "repro.scenario.market": (
+        "AgentStrategy", "MarketConfig", "Trader", "run_market_round",
+    ),
+    "repro.scenario.population": ("Population", "seat_name"),
+    "repro.scenario.workloads": (
+        "bushy_workload", "capacity_workload", "chain_workload",
+        "formation_workload", "make_portfolio", "overlapping_ontologies",
+    ),
+    "repro.services.clock": ("SimClock",),
+    "repro.services.tn_client": ("TNClient",),
+    "repro.services.tn_service": ("TNWebService",),
+    "repro.services.vo_toolkit": (
+        "FormationOutcome", "HostEdition", "InitiatorEdition", "JoinOutcome",
+        "MemberEdition", "UNREACHABLE_ERRORS",
+    ),
+    "repro.storage.document_store": ("XMLDocumentStore",),
+    "repro.storage.session_store": (
+        "InMemorySessionStore", "SessionStore", "WALSessionStore",
+    ),
+    "repro.vo.contract": ("Contract",),
+    "repro.vo.initiator": ("VOInitiator",),
+    "repro.vo.member": ("VOMember",),
+    "repro.vo.monitoring": ("ViolationKind",),
+    "repro.vo.organization": ("VirtualOrganization",),
+    "repro.vo.registry": ("ServiceDescription", "ServiceRegistry"),
+    "repro.vo.roles": ("Role",),
+})
 
 __all__ = [
     # facade
@@ -605,6 +576,8 @@ class VOToolkit:
         trust: Optional[TrustConfig] = None,
         host_url: str = "urn:vo:host",
     ) -> None:
+        from repro.services.vo_toolkit import HostEdition
+
         if transport is None:
             transport = SimTransport(model=latency or LatencyModel())
         elif latency is not None:
@@ -617,6 +590,8 @@ class VOToolkit:
         #: The fault injector, when a plan was supplied.
         self.fault_injector: Optional[FaultInjector] = None
         if fault_plan is not None:
+            from repro.faults.injector import FaultInjector
+
             self.fault_injector = FaultInjector(inner=stack, plan=fault_plan)
             stack = self.fault_injector
         #: The resilient decorator, when a config was supplied.
@@ -644,6 +619,8 @@ class VOToolkit:
 
     def initiator_edition(self, initiator: VOInitiator) -> InitiatorEdition:
         """The Initiator Edition bound to this toolkit's stack."""
+        from repro.services.vo_toolkit import InitiatorEdition
+
         return InitiatorEdition(
             initiator, self.transport, self.host, hardening=self.hardening
         )
@@ -652,6 +629,8 @@ class VOToolkit:
         self, member: VOMember, register: bool = True
     ) -> MemberEdition:
         """A Member Edition app (registered with the host by default)."""
+        from repro.services.vo_toolkit import MemberEdition
+
         app = MemberEdition(
             member=member,
             transport=self.transport,

@@ -12,14 +12,15 @@ journal.  Hedged ``StartNegotiation`` and health-aware shard ejection
 are opt-in router policies (:class:`HedgePolicy`, :class:`HealthPolicy`).
 """
 
-from repro.cluster.health import HealthPolicy, HealthTracker, ShardHealth
-from repro.cluster.ring import HashRing
-from repro.cluster.sharded import (
-    HedgePolicy,
-    HedgeStats,
-    ShardedTNService,
-    ShardNode,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cluster.health": ("HealthPolicy", "HealthTracker", "ShardHealth"),
+    "repro.cluster.ring": ("HashRing",),
+    "repro.cluster.sharded": (
+        "HedgePolicy", "HedgeStats", "ShardNode", "ShardedTNService",
+    ),
+})
 
 __all__ = [
     "HashRing",

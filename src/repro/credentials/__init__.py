@@ -18,16 +18,22 @@ carrying a party's attributes.  This subpackage implements:
   credential is received.
 """
 
-from repro.credentials.attributes import AttributeValue
-from repro.credentials.authority import CredentialAuthority
-from repro.credentials.chain import CredentialChain, ChainResolver
-from repro.credentials.credential import Credential, ValidityPeriod
-from repro.credentials.profile import XProfile
-from repro.credentials.revocation import RevocationList, RevocationRegistry
-from repro.credentials.selective import SelectiveCredential
-from repro.credentials.sensitivity import Sensitivity, cred_cluster
-from repro.credentials.validation import CredentialValidator, ValidationReport
-from repro.credentials.x509 import AttributeCertificate, VOMembershipToken
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.credentials.attributes": ("AttributeValue",),
+    "repro.credentials.authority": ("CredentialAuthority",),
+    "repro.credentials.chain": ("ChainResolver", "CredentialChain"),
+    "repro.credentials.credential": ("Credential", "ValidityPeriod"),
+    "repro.credentials.profile": ("XProfile",),
+    "repro.credentials.revocation": ("RevocationList", "RevocationRegistry"),
+    "repro.credentials.selective": ("SelectiveCredential",),
+    "repro.credentials.sensitivity": ("Sensitivity", "cred_cluster"),
+    "repro.credentials.validation": (
+        "CredentialValidator", "ValidationReport",
+    ),
+    "repro.credentials.x509": ("AttributeCertificate", "VOMembershipToken"),
+})
 
 __all__ = [
     "AttributeValue",

@@ -19,14 +19,14 @@ real keys so that thousands of signatures stay cheap, while examples use
 2048-bit keys to demonstrate realistic deployments.
 """
 
-from repro.crypto.keys import (
-    KeyPair,
-    Keyring,
-    PrivateKey,
-    PublicKey,
-    verify_b64,
-)
-from repro.crypto.rsa import generate_keypair, sign, verify
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.crypto.keys": (
+        "KeyPair", "Keyring", "PrivateKey", "PublicKey", "verify_b64",
+    ),
+    "repro.crypto.rsa": ("generate_keypair", "sign", "verify"),
+})
 
 __all__ = [
     "KeyPair",

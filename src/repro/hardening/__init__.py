@@ -29,29 +29,24 @@ without stays byte-for-byte on its pre-hardening behavior.
 
 from __future__ import annotations
 
-from repro.hardening.admission import (
-    AdmissionController,
-    AdmissionStats,
-    Priority,
-    operation_priority,
-)
-from repro.hardening.config import HardeningConfig
-from repro.hardening.fuzz import (
-    FuzzOutcome,
-    FuzzProbe,
-    run_probe,
-    session_probes,
-    stateless_probes,
-    terminal_probes,
-)
-from repro.hardening.guard import GuardStats, ProtocolGuard
-from repro.hardening.soak import (
-    InvariantViolation,
-    SoakConfig,
-    SoakReport,
-    check_service_invariants,
-    run_soak,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.hardening.admission": (
+        "AdmissionController", "AdmissionStats", "Priority",
+        "operation_priority",
+    ),
+    "repro.hardening.config": ("HardeningConfig",),
+    "repro.hardening.fuzz": (
+        "FuzzOutcome", "FuzzProbe", "run_probe", "session_probes",
+        "stateless_probes", "terminal_probes",
+    ),
+    "repro.hardening.guard": ("GuardStats", "ProtocolGuard"),
+    "repro.hardening.soak": (
+        "InvariantViolation", "SoakConfig", "SoakReport",
+        "check_service_invariants", "run_soak",
+    ),
+})
 
 __all__ = [
     "HardeningConfig",

@@ -19,14 +19,18 @@ revocation, ownership) on receipt.
 - :mod:`outcomes` — results, transcripts, and the failure taxonomy.
 """
 
-from repro.negotiation.agent import TrustXAgent
-from repro.negotiation.cache import CachingNegotiator, SequenceCache
-from repro.negotiation.core import AgentOp, NegotiationCore
-from repro.negotiation.eager import eager_negotiate
-from repro.negotiation.engine import NegotiationEngine, negotiate
-from repro.negotiation.outcomes import FailureReason, NegotiationResult
-from repro.negotiation.strategies import Strategy
-from repro.negotiation.tree import EdgeKind, NegotiationTree, NodeStatus
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.negotiation.agent": ("TrustXAgent",),
+    "repro.negotiation.cache": ("CachingNegotiator", "SequenceCache"),
+    "repro.negotiation.core": ("AgentOp", "NegotiationCore"),
+    "repro.negotiation.eager": ("eager_negotiate",),
+    "repro.negotiation.engine": ("NegotiationEngine", "negotiate"),
+    "repro.negotiation.outcomes": ("FailureReason", "NegotiationResult"),
+    "repro.negotiation.strategies": ("Strategy",),
+    "repro.negotiation.tree": ("EdgeKind", "NegotiationTree", "NodeStatus"),
+})
 
 __all__ = [
     "TrustXAgent",

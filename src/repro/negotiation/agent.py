@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.credentials.credential import Credential
 from repro.credentials.profile import XProfile
-from repro.credentials.selective import SelectiveCredential
 from repro.credentials.validation import CredentialValidator, OwnershipProof
 from repro.crypto.keys import KeyPair
 from repro.errors import NegotiationError, StrategyError
 from repro.negotiation.messages import Disclosure
 from repro.negotiation.strategies import Strategy
-from repro.ontology.mapping import ConceptMapper
 from repro.policy.compliance import ComplianceChecker
 from repro.policy.conditions import (
     AnyAttributeCondition,
@@ -33,6 +31,10 @@ from repro.policy.conditions import (
 from repro.policy.policybase import PolicyBase
 from repro.policy.rules import DisclosurePolicy
 from repro.policy.terms import Term, TermKind
+
+if TYPE_CHECKING:
+    from repro.credentials.selective import SelectiveCredential
+    from repro.ontology.mapping import ConceptMapper
 
 __all__ = ["TrustXAgent"]
 

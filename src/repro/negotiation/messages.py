@@ -14,13 +14,15 @@ negotiation runs through the TN Web service.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.credentials.credential import Credential
-from repro.credentials.selective import Presentation
-from repro.credentials.validation import OwnershipProof
 from repro.errors import ErrorCode
-from repro.policy.rules import DisclosurePolicy
+
+if TYPE_CHECKING:
+    from repro.credentials.credential import Credential
+    from repro.credentials.selective import Presentation
+    from repro.credentials.validation import OwnershipProof
+    from repro.policy.rules import DisclosurePolicy
 
 __all__ = [
     "ResourceRequest",

@@ -27,18 +27,11 @@ is the implementation.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs.audit import AuditLogSink
+from repro import _lazy_exports
 from repro.obs.config import ObsConfig, REDACTED
 from repro.obs.events import Event, EventLog, JsonlSink, RingBufferSink
-from repro.obs.export import (
-    build_snapshot,
-    critical_path_ms,
-    render_timeline,
-    to_chrome_trace,
-    validate_trace,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -47,6 +40,19 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.spans import NULL_SPAN, NullSpan, Span, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.audit import AuditLogSink
+
+# The export and audit halves load only when a snapshot, trace or audit
+# log is asked for; the recording half above is what hot paths call.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.audit": ("AuditLogSink",),
+    "repro.obs.export": (
+        "build_snapshot", "critical_path_ms", "render_timeline",
+        "to_chrome_trace", "validate_trace",
+    ),
+})
 
 __all__ = [
     # config
@@ -83,6 +89,8 @@ class _Runtime:
             self.event_log.add_sink(JsonlSink(config.jsonl_path))
         self.audit_sink: Optional[AuditLogSink] = None
         if config.audit_path:
+            from repro.obs.audit import AuditLogSink
+
             self.audit_sink = AuditLogSink(
                 config.audit_path, epoch_every=config.audit_epoch_every
             )
@@ -219,6 +227,8 @@ def metrics() -> dict:
 
 def snapshot() -> dict:
     """One JSON-serializable dump: config, spans, metrics, events."""
+    from repro.obs.export import build_snapshot
+
     runtime = _require_runtime()
     return build_snapshot(
         runtime.tracer, runtime.registry, runtime.event_log, runtime.config
@@ -227,6 +237,8 @@ def snapshot() -> dict:
 
 def chrome_trace() -> dict:
     """The recorded spans in Chrome Trace Event Format."""
+    from repro.obs.export import to_chrome_trace
+
     return to_chrome_trace(_require_runtime().tracer.spans())
 
 

@@ -16,12 +16,16 @@ schemas.  The layer provides:
   running example.
 """
 
-from repro.ontology.concept import Concept, CredentialBinding
-from repro.ontology.graph import Ontology
-from repro.ontology.mapping import ConceptMapper, MappingOutcome
-from repro.ontology.matching import OntologyMapping, match_ontologies
-from repro.ontology.owl import ontology_from_owl, ontology_to_owl
-from repro.ontology.similarity import compute_similarity, jaccard
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.ontology.concept": ("Concept", "CredentialBinding"),
+    "repro.ontology.graph": ("Ontology",),
+    "repro.ontology.mapping": ("ConceptMapper", "MappingOutcome"),
+    "repro.ontology.matching": ("OntologyMapping", "match_ontologies"),
+    "repro.ontology.owl": ("ontology_from_owl", "ontology_to_owl"),
+    "repro.ontology.similarity": ("compute_similarity", "jaccard"),
+})
 
 __all__ = [
     "Concept",

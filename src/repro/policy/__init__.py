@@ -15,20 +15,22 @@ counterpart must disclose.  This subpackage provides:
 - :mod:`policybase` — a party's policy database with alternatives.
 """
 
-from repro.policy.compliance import ComplianceChecker, PolicySatisfaction
-from repro.policy.conditions import (
-    AnyAttributeCondition,
-    AttributeCondition,
-    Condition,
-    XPathCondition,
-)
-from repro.policy.parser import parse_policy, parse_policies
-from repro.policy.policybase import PolicyBase
-from repro.policy.rules import DisclosurePolicy
-from repro.policy.terms import RTerm, Term
-from repro.policy.groups import GroupCondition, parse_group_condition
-from repro.policy.xacml import policies_from_xacml, policies_to_xacml
-from repro.policy.xmlcodec import policy_from_xml, policy_to_xml
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.policy.compliance": ("ComplianceChecker", "PolicySatisfaction"),
+    "repro.policy.conditions": (
+        "AnyAttributeCondition", "AttributeCondition", "Condition",
+        "XPathCondition",
+    ),
+    "repro.policy.groups": ("GroupCondition", "parse_group_condition"),
+    "repro.policy.parser": ("parse_policies", "parse_policy"),
+    "repro.policy.policybase": ("PolicyBase",),
+    "repro.policy.rules": ("DisclosurePolicy",),
+    "repro.policy.terms": ("RTerm", "Term"),
+    "repro.policy.xacml": ("policies_from_xacml", "policies_to_xacml"),
+    "repro.policy.xmlcodec": ("policy_from_xml", "policy_to_xml"),
+})
 
 __all__ = [
     "Term",

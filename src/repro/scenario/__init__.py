@@ -17,31 +17,23 @@ Every long-running workload is one call on its kw-only config, e.g.
 :func:`repro.hardening.soak.run_soak`.
 """
 
-from repro.scenario.aircraft import AircraftScenario, build_aircraft_scenario
-from repro.scenario.engine import (
-    RoundState,
-    ScenarioConfig,
-    ScenarioReport,
-    run_scenario,
-)
-from repro.scenario.experiments import (
-    IsolationConfig,
-    IsolationReport,
-    MatrixConfig,
-    MatrixReport,
-    ScarcityConfig,
-    ScarcityReport,
-    cheater_isolation,
-    scarcity_market,
-    two_agent_matrix,
-)
-from repro.scenario.market import (
-    AgentStrategy,
-    MarketConfig,
-    Trader,
-    run_market_round,
-)
-from repro.scenario.population import Population, seat_name
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.scenario.aircraft": ("AircraftScenario", "build_aircraft_scenario"),
+    "repro.scenario.engine": (
+        "RoundState", "ScenarioConfig", "ScenarioReport", "run_scenario",
+    ),
+    "repro.scenario.experiments": (
+        "IsolationConfig", "IsolationReport", "MatrixConfig", "MatrixReport",
+        "ScarcityConfig", "ScarcityReport", "cheater_isolation",
+        "scarcity_market", "two_agent_matrix",
+    ),
+    "repro.scenario.market": (
+        "AgentStrategy", "MarketConfig", "Trader", "run_market_round",
+    ),
+    "repro.scenario.population": ("Population", "seat_name"),
+})
 
 __all__ = [
     "AircraftScenario",

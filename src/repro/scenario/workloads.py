@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime
+from typing import TYPE_CHECKING
 
 from repro.credentials.authority import CredentialAuthority
 from repro.credentials.profile import XProfile
@@ -20,20 +21,19 @@ from repro.credentials.validation import CredentialValidator
 from repro.crypto.keys import KeyPair, Keyring
 from repro.negotiation.agent import TrustXAgent
 from repro.negotiation.strategies import Strategy
-from repro.ontology.graph import Ontology
 from repro.policy.policybase import PolicyBase
-from repro.services.transport import LatencyModel, SimTransport
-from repro.services.vo_toolkit import (
-    HostEdition,
-    InitiatorEdition,
-    MemberEdition,
-)
 from repro.trust import TrustBus
-from repro.vo.contract import Contract
-from repro.vo.initiator import VOInitiator
-from repro.vo.member import VOMember
-from repro.vo.registry import ServiceDescription
-from repro.vo.roles import Role
+
+if TYPE_CHECKING:
+    from repro.ontology.graph import Ontology
+    from repro.services.transport import LatencyModel, SimTransport
+    from repro.services.vo_toolkit import (
+        HostEdition,
+        InitiatorEdition,
+        MemberEdition,
+    )
+    from repro.vo.contract import Contract
+    from repro.vo.initiator import VOInitiator
 
 __all__ = [
     "NegotiationFixture",
@@ -303,6 +303,19 @@ def formation_workload(
     mutually independent — the workload the parallel formation
     scheduler is designed for.
     """
+    # The VO and services stack loads only for the workload that runs it.
+    from repro.services.transport import LatencyModel, SimTransport
+    from repro.services.vo_toolkit import (
+        HostEdition,
+        InitiatorEdition,
+        MemberEdition,
+    )
+    from repro.vo.contract import Contract
+    from repro.vo.initiator import VOInitiator
+    from repro.vo.member import VOMember
+    from repro.vo.registry import ServiceDescription
+    from repro.vo.roles import Role
+
     if roles < 1:
         raise ValueError(f"need >= 1 roles, got {roles}")
     authority = CredentialAuthority.create("FormationCA", key_bits=512)
@@ -416,6 +429,8 @@ def random_ontology(
     Each concept binds one credential type and one attribute drawn from
     a compound-word vocabulary so similarity scores are non-trivial.
     """
+    from repro.ontology.graph import Ontology
+
     rng = random.Random(seed)
     words = [
         "quality", "service", "storage", "design", "license", "privacy",
@@ -449,6 +464,8 @@ def overlapping_ontologies(
     only in naming convention (camelCase vs snake_case), so a token-
     based matcher should align them with high confidence.
     """
+    from repro.ontology.graph import Ontology
+
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     base = random_ontology("left", concepts, seed=seed)

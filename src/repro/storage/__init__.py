@@ -14,13 +14,15 @@ Section 6.3).  Both ends of that trade-off are reproduced:
   filtering must be done client-side by full scan.
 """
 
-from repro.storage.document_store import XMLDocumentStore
-from repro.storage.kvstore import KeyValueStore
-from repro.storage.session_store import (
-    InMemorySessionStore,
-    SessionStore,
-    WALSessionStore,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.storage.document_store": ("XMLDocumentStore",),
+    "repro.storage.kvstore": ("KeyValueStore",),
+    "repro.storage.session_store": (
+        "InMemorySessionStore", "SessionStore", "WALSessionStore",
+    ),
+})
 
 __all__ = [
     "XMLDocumentStore",

@@ -7,15 +7,14 @@ negotiation layer registers its sequence caches *into* the bus via
 :func:`register_sequence_cache`.
 """
 
-from repro.trust.bus import (
-    RetractionReceipt,
-    TrustBus,
-    TrustEvent,
-    TrustEventKind,
-    default_bus,
-    register_sequence_cache,
-    trust_epoch,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.trust.bus": (
+        "RetractionReceipt", "TrustBus", "TrustEvent", "TrustEventKind",
+        "default_bus", "register_sequence_cache", "trust_epoch",
+    ),
+})
 
 __all__ = [
     "TrustEvent",

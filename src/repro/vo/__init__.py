@@ -18,16 +18,22 @@ Models the VO lifecycle the paper extends with trust negotiation:
   (:mod:`organization`).
 """
 
-from repro.vo.contract import Contract
-from repro.vo.initiator import VOInitiator
-from repro.vo.invitations import Invitation, InvitationStatus, Mailbox
-from repro.vo.lifecycle import LifecycleTracker, VOPhase
-from repro.vo.member import VOMember
-from repro.vo.monitoring import OperationMonitor, ViolationEvent, ViolationKind
-from repro.vo.organization import VirtualOrganization
-from repro.vo.registry import ServiceDescription, ServiceRegistry
-from repro.vo.reputation import ReputationEvent, ReputationSystem
-from repro.vo.roles import Role
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.vo.contract": ("Contract",),
+    "repro.vo.initiator": ("VOInitiator",),
+    "repro.vo.invitations": ("Invitation", "InvitationStatus", "Mailbox"),
+    "repro.vo.lifecycle": ("LifecycleTracker", "VOPhase"),
+    "repro.vo.member": ("VOMember",),
+    "repro.vo.monitoring": (
+        "OperationMonitor", "ViolationEvent", "ViolationKind",
+    ),
+    "repro.vo.organization": ("VirtualOrganization",),
+    "repro.vo.registry": ("ServiceDescription", "ServiceRegistry"),
+    "repro.vo.reputation": ("ReputationEvent", "ReputationSystem"),
+    "repro.vo.roles": ("Role",),
+})
 
 __all__ = [
     "Role",

@@ -11,8 +11,12 @@ credential documents.  This subpackage provides:
   subset that X-TNL policy conditions use.
 """
 
-from repro.xmlutil.canonical import canonicalize, element_digest, parse_xml
-from repro.xmlutil.xpath import XPath, evaluate_xpath
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.xmlutil.canonical": ("canonicalize", "element_digest", "parse_xml"),
+    "repro.xmlutil.xpath": ("XPath", "evaluate_xpath"),
+})
 
 __all__ = [
     "canonicalize",

@@ -8,7 +8,9 @@ inspired by XML-C14N:
 - attributes are emitted in sorted order;
 - text and tails lose their surrounding whitespace, so the indentation
   of *structural* (element-only) nodes disappears, and are escaped
-  minimally;
+  minimally: ``& < >`` as entities and CR as ``&#13;``; attribute values
+  also escape ``"`` and write tab, LF and CR as ``&#9;``, ``&#10;`` and
+  ``&#13;``, so parsing the canonical form gives back the same values;
 - comments and processing instructions are dropped;
 - no XML declaration, no namespace rewriting (X-TNL documents are
   namespace-free).
@@ -39,19 +41,28 @@ def parse_xml(text: str) -> ET.Element:
 
 
 def _escape_text(text: str) -> str:
-    if "&" in text or "<" in text or ">" in text:
+    # A parser turns a literal CR (alone or before LF) into LF, so CR is
+    # written as a character reference to survive a round trip.
+    if "&" in text or "<" in text or ">" in text or "\r" in text:
         text = (
             text.replace("&", "&amp;")
             .replace("<", "&lt;")
             .replace(">", "&gt;")
+            .replace("\r", "&#13;")
         )
     return text
 
 
 def _escape_attr(text: str) -> str:
     text = _escape_text(text)
-    if '"' in text:
-        text = text.replace('"', "&quot;")
+    # A parser normalizes literal tab and newline in an attribute value
+    # to a space, so they are written as character references.
+    if '"' in text or "\t" in text or "\n" in text:
+        text = (
+            text.replace('"', "&quot;")
+            .replace("\t", "&#9;")
+            .replace("\n", "&#10;")
+        )
     return text
 
 

@@ -174,3 +174,19 @@ def test_roundtrip_property(cred_type, serial, sensitivity, attr_value):
         serial=serial,
     ).with_signature("QUJD")
     assert Credential.from_xml(original.to_xml()) == original
+
+
+class TestLineBreaksInAttributes:
+    def test_signature_verifies_after_an_xml_round_trip(self, infn):
+        from repro.crypto.keys import verify_b64
+
+        issued = infn.issue(
+            "Note", "AerospaceCo", "fp123",
+            {"note": "line1\r\nline2", "cells": "a\tb"}, ISSUE_AT,
+        )
+        back = Credential.from_xml(issued.to_xml())
+        assert back == issued
+        assert back.attribute("note").value == "line1\r\nline2"
+        assert verify_b64(
+            infn.public_key, back.signing_bytes(), back.signature_b64
+        )

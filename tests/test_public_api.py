@@ -38,6 +38,9 @@ class TestTopLevelApi:
             "repro.cli",
             "repro.obs",
             "repro.api",
+            "repro.cluster",
+            "repro.hardening",
+            "repro.trust",
         ],
     )
     def test_subpackage_alls_resolve(self, module):
@@ -166,3 +169,81 @@ def test_sync_entry_points_do_not_load_the_event_loop(module):
     assert loaded.isdisjoint(_EVENT_LOOP_MODULES), sorted(
         loaded.intersection(_EVENT_LOOP_MODULES)
     )
+
+
+def _repro_modules_loaded_by(statement: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import json, sys\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if m == 'repro' or m.startswith('repro.'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(json.loads(result.stdout))
+
+
+class TestImportFootprint:
+    """Packages resolve their exports on first access, so importing a
+    module loads what that module runs and not its whole package tree."""
+
+    def test_import_repro_loads_only_the_root_package(self):
+        assert _repro_modules_loaded_by("import repro") == {"repro"}
+
+    def test_the_engine_loads_no_service_or_vo_layer(self):
+        loaded = _repro_modules_loaded_by("import repro.negotiation.engine")
+        assert "repro.negotiation.engine" in loaded
+        outside = (
+            "repro.vo", "repro.services", "repro.cluster", "repro.hardening",
+            "repro.scenario", "repro.ontology", "repro.storage",
+            "repro.obs.export", "repro.obs.audit",
+        )
+        assert sorted(
+            module for module in loaded
+            if any(module == p or module.startswith(p + ".") for p in outside)
+        ) == []
+
+    def test_cli_help_loads_only_the_cli(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "--help"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        # Each line reads "import time: self | cumulative | name".
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        loaded = {
+            name for name in imported
+            if name == "repro" or name.startswith("repro.")
+        }
+        assert loaded <= {"repro", "repro.cli", "repro.__main__"}, sorted(
+            loaded
+        )
+
+    @pytest.mark.parametrize("module", [
+        "repro", "repro.api", "repro.cluster", "repro.credentials",
+        "repro.crypto", "repro.hardening", "repro.negotiation", "repro.obs",
+        "repro.ontology", "repro.perf", "repro.policy", "repro.scenario",
+        "repro.storage", "repro.trust", "repro.vo", "repro.xmlutil",
+    ])
+    def test_dir_lists_every_export(self, module):
+        package = importlib.import_module(module)
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_a_lazy_export_is_the_defining_modules_object(self):
+        from repro.credentials.credential import Credential
+        import repro.credentials
+
+        assert repro.Credential is Credential
+        assert repro.credentials.Credential is Credential
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            getattr(repro.credentials, "Nope")

@@ -1,5 +1,8 @@
 """The canonical XML writer as it stood before its rewrite, kept as the
-reference the fast writer must match byte for byte.
+reference the fast writer must match byte for byte.  Its escapes were
+later extended the same way as the writer's (CR in text; tab, LF and CR
+in attribute values) when those characters were found not to survive a
+parse of the canonical form.
 
 Do not optimise this module: its value is that it is the old,
 obviously-correct code.
@@ -15,11 +18,17 @@ def _escape_text(text: str) -> str:
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    return (
+        _escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+    )
 
 
 def _is_structural(element: ET.Element) -> bool:

@@ -83,3 +83,42 @@ def test_canonicalize_roundtrip_property(tag, text, attr):
     element.text = text
     once = canonicalize(element)
     assert canonicalize(once) == once
+
+
+class TestWhitespaceReferences:
+    """A parser rewrites a literal CR in text (to LF) and a literal tab,
+    LF or CR in an attribute value (to a space).  The canonical form
+    writes them as character references, so re-parsing it gives back
+    the same values and canonicalization is idempotent."""
+
+    def test_cr_in_text_is_a_character_reference(self):
+        out = canonicalize(parse_xml("<a>line1&#13;\nline2</a>"))
+        assert out == "<a>line1&#13;\nline2</a>"
+        assert parse_xml(out).text == "line1\r\nline2"
+
+    def test_whitespace_in_attribute_is_a_character_reference(self):
+        out = canonicalize('<a k="x&#9;y&#10;z&#13;w"/>')
+        assert out == '<a k="x&#9;y&#10;z&#13;w"></a>'
+        assert parse_xml(out).get("k") == "x\ty\nz\rw"
+
+    def test_newline_in_attribute_is_idempotent(self):
+        once = canonicalize('<a k="x&#10;y"/>')
+        assert canonicalize(once) == once
+
+
+_whitespace_texts = st.text(
+    alphabet=st.sampled_from("ab<&\" \t\n\r"), min_size=0, max_size=12
+)
+
+
+@given(text=_whitespace_texts, attr=_whitespace_texts)
+def test_canonical_form_reparses_to_the_same_values(text, attr):
+    from xml.etree import ElementTree as ET
+
+    element = ET.Element("a", {"k": attr})
+    element.text = text
+    once = canonicalize(element)
+    reparsed = parse_xml(once)
+    assert reparsed.get("k") == attr
+    assert (reparsed.text or "") == text.strip()
+    assert canonicalize(once) == once
