@@ -6,8 +6,9 @@ certificates, and negotiation parties verify those signatures with the
 issuers' public keys.  Since the reproduction environment is offline,
 this subpackage implements the needed primitives from scratch:
 
-- :mod:`repro.crypto.numbers` — Miller-Rabin primality, prime
-  generation, modular inverse.
+- :mod:`repro.crypto.numbers` — Baillie-PSW primality with
+  size-matched Miller-Rabin rounds, sieved prime search, modular
+  inverse.
 - :mod:`repro.crypto.rsa` — RSA key generation and PKCS#1-v1.5-style
   SHA-256 signatures, signed with the Chinese Remainder Theorem (two
   half-width exponentiations per signature, byte-identical to the
