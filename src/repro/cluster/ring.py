@@ -11,14 +11,15 @@ whole cluster.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Iterable
+
+from repro.crypto.digest import sha256
 
 __all__ = ["HashRing"]
 
 
 def _hash(key: str) -> int:
-    return int(hashlib.sha256(key.encode("utf-8")).hexdigest()[:16], 16)
+    return int(sha256(key.encode("utf-8")).hexdigest()[:16], 16)
 
 
 class HashRing:

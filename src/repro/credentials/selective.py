@@ -25,13 +25,13 @@ hashes alone):
 
 from __future__ import annotations
 
-import hashlib
-import secrets
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.credentials.attributes import AttributeValue
 from repro.credentials.credential import Credential, ValidityPeriod
+from repro.crypto.digest import sha256
 from repro.crypto.keys import PrivateKey, PublicKey, verify_b64
 from repro.errors import SelectiveDisclosureError
 
@@ -41,7 +41,7 @@ __all__ = ["SelectiveCredential", "DisclosedAttribute", "commit_attribute"]
 def commit_attribute(name: str, xml_text: str, salt: str) -> str:
     """Commitment ``H(name || value || salt)`` as lowercase hex."""
     payload = f"{name}\x00{xml_text}\x00{salt}".encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SelectiveCredential:
         commitments are signed.
         """
         openings = {
-            attr.name: DisclosedAttribute(attr, secrets.token_hex(16))
+            attr.name: DisclosedAttribute(attr, os.urandom(16).hex())
             for attr in credential.attributes
         }
         commitments = tuple(

@@ -16,8 +16,7 @@ in :mod:`repro.policy.compliance`):
 
 from __future__ import annotations
 
-import hashlib
-import secrets
+import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
@@ -25,6 +24,7 @@ from typing import Optional
 from repro.credentials.chain import ChainResolver, CERTIFIED_KEY_ATTRIBUTE
 from repro.credentials.credential import Credential
 from repro.credentials.revocation import RevocationRegistry
+from repro.crypto.digest import sha256
 from repro.crypto.keys import Keyring, PrivateKey, PublicKey, verify_b64
 from repro.errors import (
     CredentialExpiredError,
@@ -68,7 +68,7 @@ def cached_verify_b64(
     """
     cache_key = (
         key.fingerprint,
-        hashlib.sha256(message).digest(),
+        sha256(message).digest(),
         signature_b64,
     )
     return SIGNATURE_CACHE.get_or_compute(
@@ -160,7 +160,7 @@ class CredentialValidator:
 
     def issue_challenge(self) -> str:
         """Fresh nonce for an ownership challenge."""
-        return secrets.token_hex(16)
+        return os.urandom(16).hex()
 
     def _issuer_key(self, credential: Credential) -> tuple[Optional[PublicKey], int]:
         """Resolve the issuer's verification key, walking a chain when

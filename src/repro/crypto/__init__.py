@@ -14,6 +14,8 @@ this subpackage implements the needed primitives from scratch:
   half-width exponentiations per signature, byte-identical to the
   full-width ``pow(m, d, n)``).
 - :mod:`repro.crypto.keys` — serialization, fingerprints, and keyrings.
+- :mod:`repro.crypto.digest` — SHA-256 from the interpreter's built-in
+  module, so no process loads OpenSSL.
 
 Key sizes are configurable; tests and benchmarks default to small-but-
 real keys so that thousands of signatures stay cheap, while examples use

@@ -8,11 +8,11 @@ credentials "using credential issuers' public keys", Section 5).
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from repro.crypto import rsa
+from repro.crypto.digest import sha256
 from repro.errors import KeyError_, SignatureError
 
 __all__ = [
@@ -36,7 +36,7 @@ class PublicKey:
         # and every issued token and ticket names its holder by it.
         material = f"{self.raw.modulus:x}:{self.raw.exponent:x}".encode()
         object.__setattr__(
-            self, "fingerprint", hashlib.sha256(material).hexdigest()[:32]
+            self, "fingerprint", sha256(material).hexdigest()[:32]
         )
 
     def verify(self, message: bytes, signature: bytes) -> bool:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-import secrets
+from random import SystemRandom
+from types import SimpleNamespace
 
 from repro.errors import CryptoError
 
@@ -14,6 +15,16 @@ __all__ = [
     "modular_inverse",
     "SMALL_PRIMES",
 ]
+
+# Every random draw goes through this module attribute, read at call
+# time, so a test or benchmark can swap in a seeded stream with the
+# same two methods.  They are the OS CSPRNG calls the ``secrets``
+# module makes, bound here without importing ``secrets``, whose
+# ``hmac`` import loads OpenSSL.
+_SYSTEM_RANDOM = SystemRandom()
+secrets = SimpleNamespace(
+    randbits=_SYSTEM_RANDOM.getrandbits, randbelow=_SYSTEM_RANDOM.randrange,
+)
 
 # Primes below 1000: the trial-division table of ``is_probable_prime``
 # and the sieve of ``generate_prime``.

@@ -9,9 +9,9 @@ credential genuinely fails to verify) without an external dependency.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+from repro.crypto.digest import sha256
 from repro.crypto.numbers import generate_prime, modular_inverse
 from repro.errors import CryptoError, SignatureError
 
@@ -125,7 +125,7 @@ def sign(key: RSAPrivateKey, message: bytes) -> bytes:
     same integer as the full-width ``pow`` at roughly a third of the
     cost.
     """
-    digest = hashlib.sha256(message).digest()
+    digest = sha256(message).digest()
     encoded = _pad_digest(digest, key.byte_length)
     value = int.from_bytes(encoded, "big")
     p, q = key.prime_p, key.prime_q
@@ -145,7 +145,5 @@ def verify(key: RSAPublicKey, message: bytes, signature: bytes) -> bool:
     if value >= key.modulus:
         return False
     recovered = pow(value, key.exponent, key.modulus)
-    expected = _pad_digest(
-        hashlib.sha256(message).digest(), key.byte_length
-    )
+    expected = _pad_digest(sha256(message).digest(), key.byte_length)
     return recovered.to_bytes(key.byte_length, "big") == expected

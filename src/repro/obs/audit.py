@@ -21,12 +21,13 @@ behind the ``repro audit`` CLI.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.crypto.digest import sha256
 
 __all__ = [
     "AuditLogSink",
@@ -45,9 +46,7 @@ def _canonical_json(payload: dict) -> str:
 
 
 def _chain_hash(prev_hash: str, body_json: str) -> str:
-    return hashlib.sha256(
-        (prev_hash + body_json).encode("utf-8")
-    ).hexdigest()
+    return sha256((prev_hash + body_json).encode("utf-8")).hexdigest()
 
 
 def merkle_root(leaf_hashes: list[str]) -> str:
@@ -59,7 +58,7 @@ def merkle_root(leaf_hashes: list[str]) -> str:
         paired = []
         for index in range(0, len(level) - 1, 2):
             paired.append(
-                hashlib.sha256(
+                sha256(
                     (level[index] + level[index + 1]).encode("utf-8")
                 ).hexdigest()
             )

@@ -13,7 +13,7 @@ unifies what PR 1 and PR 2 left as ad-hoc per-object counters:
   size/latency distributions.
 
 Histograms keep an exact count/sum/min/max plus a bounded sliding
-window of recent samples for percentile estimation (p50/p95) — good
+window of recent samples for percentile estimation (p50/p95/p99) — good
 enough for the simulator's scale without unbounded memory.
 """
 
@@ -95,7 +95,7 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution summary: exact count/sum/min/max, windowed p50/p95."""
+    """Distribution summary: exact count/sum/min/max, windowed p50/p95/p99."""
 
     __slots__ = ("name", "count", "total", "min", "max", "_window", "_lock")
 
@@ -132,6 +132,7 @@ class Histogram:
         if window:
             summary["p50"] = round(percentile(window, 50), 6)
             summary["p95"] = round(percentile(window, 95), 6)
+            summary["p99"] = round(percentile(window, 99), 6)
         return summary
 
 

@@ -23,13 +23,13 @@ four methods.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
 from typing import Iterator, Optional
 from xml.etree import ElementTree as ET
 
+from repro.crypto.digest import sha256
 from repro.errors import StorageError, XMLError
 from repro.xmlutil.canonical import canonicalize, parse_xml
 
@@ -112,7 +112,7 @@ class InMemorySessionStore(SessionStore):
 
 
 def _record_crc(lsn: int, session_id: str, xml: str) -> str:
-    digest = hashlib.sha256(f"{lsn}|{session_id}|{xml}".encode("utf-8"))
+    digest = sha256(f"{lsn}|{session_id}|{xml}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -155,14 +155,16 @@ class WALSessionStore(SessionStore):
         """
         lines = raw.split("\n")
         # a fully committed file ends with a newline, so the final split
-        # element is empty; anything else is a torn tail candidate
+        # element is empty; a final line without its newline is torn,
+        # however intact its JSON and crc read
+        final = len(lines) - 1
         expected_lsn = 1
         end = 0
         for lineno, line in enumerate(lines):
             end += len(line.encode("utf-8")) + 1
             if line == "":
                 continue
-            record = self._parse_record(line)
+            record = None if lineno == final else self._parse_record(line)
             if record is None:
                 if any(rest != "" for rest in lines[lineno + 1:]):
                     raise StorageError(

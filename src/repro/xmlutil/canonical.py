@@ -23,10 +23,10 @@ tree holds now.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable
 from xml.etree import ElementTree as ET
 
+from repro.crypto.digest import sha256
 from repro.errors import XMLError
 
 __all__ = ["canonicalize", "element_digest", "parse_xml"]
@@ -109,4 +109,4 @@ def canonicalize(element: ET.Element | str) -> str:
 
 def element_digest(element: ET.Element | str) -> bytes:
     """SHA-256 digest of the canonical form of ``element``."""
-    return hashlib.sha256(canonicalize(element).encode("utf-8")).digest()
+    return sha256(canonicalize(element).encode("utf-8")).digest()

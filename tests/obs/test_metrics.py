@@ -44,6 +44,14 @@ class TestInstruments:
         assert summary["max"] == 4.0
         assert summary["p50"] == 2.5
 
+    def test_histogram_reports_p99_from_the_window(self):
+        histogram = Histogram("h")
+        for value in range(1, 101):
+            histogram.observe(float(value))
+        summary = histogram.to_dict()
+        assert summary["p99"] == 99.01  # linear interpolation, as p50/p95
+        assert summary["p95"] < summary["p99"] < summary["max"]
+
     def test_histogram_window_bounds_percentiles_not_totals(self):
         histogram = Histogram("h", window=2)
         for value in (100.0, 1.0, 2.0):

@@ -98,6 +98,29 @@ class TestWALRecovery:
         # recovery physically truncated the torn tail
         assert path.read_bytes().endswith(b"\n")
 
+    def test_final_record_missing_only_its_newline_is_torn(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        for phase in ("started", "policy", "exchange"):
+            wal.append("tn-1", checkpoint("tn-1", phase))
+        wal.close()
+        # the power loss cut only the final newline: the record's JSON
+        # and crc are whole, but the append never completed
+        path.write_bytes(path.read_bytes()[:-1])
+
+        recovered = WALSessionStore(path)
+        assert recovered.torn_discarded == 1
+        assert recovered.records() == 2
+        assert path.read_bytes().endswith(b"\n")
+        recovered.append("tn-1", checkpoint("tn-1", "expired"))
+        recovered.close()
+
+        reopened = WALSessionStore(path)
+        assert reopened.torn_discarded == 0
+        assert reopened.records() == 3
+        assert b"\x00" not in path.read_bytes()
+        assert reopened.latest()["tn-1"].get("phase") == "expired"
+
     def test_append_after_torn_recovery_continues_lsn(self, tmp_path):
         path = tmp_path / "sessions.wal"
         wal = WALSessionStore(path)

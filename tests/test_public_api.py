@@ -188,9 +188,84 @@ def _repro_modules_loaded_by(statement: str) -> set[str]:
     return set(json.loads(result.stdout))
 
 
+_OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets", "ssl")
+
+# One operation through each entry point the benchmark workloads drive.
+_RUN_EVERY_ENTRY_POINT = """
+import tempfile
+from repro.cluster import ShardedTNService
+from repro.negotiation.cache import CachingNegotiator
+from repro.negotiation.engine import negotiate
+from repro.scenario.workloads import (
+    bushy_workload, capacity_workload, formation_workload,
+)
+from repro.services.tn_client import TNClient
+from repro.services.transport import SimTransport
+
+bushy = bushy_workload(4)
+pair = (bushy.requester, bushy.controller, bushy.resource)
+assert negotiate(*pair, at=bushy.negotiation_time()).success
+cached = CachingNegotiator()
+for _ in range(2):
+    assert cached.negotiate(*pair, at=bushy.negotiation_time()).success
+assert cached.cache.stats()["hits"] == 1
+
+capacity = capacity_workload(2)
+transport = SimTransport()
+with tempfile.TemporaryDirectory() as wal_dir:
+    cluster = ShardedTNService(
+        capacity.controller, transport, url="urn:vo:tn", shards=2,
+        agents={agent.name: agent for agent in capacity.requesters},
+        wal_dir=wal_dir,
+    )
+    client = TNClient(
+        transport=transport, service_url=cluster.url,
+        agent=capacity.requesters[0],
+    )
+    at = capacity.negotiation_time()
+    assert client.negotiate(capacity.resource, at=at).success
+    cluster.close()
+
+formation = formation_workload(2)
+edition = formation.initiator_edition
+edition.create_vo(formation.contract)
+service = edition.enable_trust_negotiation(url="urn:vo:tn:0")
+outcome = edition.execute_formation(
+    formation.plans(), at=formation.contract.created_at
+)
+service.close()
+assert len(outcome.joined) == 2
+"""
+
+
+def _modules_loaded_after(script: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``script``,
+    read from the last line it prints."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script += "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
 class TestImportFootprint:
     """Packages resolve their exports on first access, so importing a
     module loads what that module runs and not its whole package tree."""
+
+    @pytest.mark.parametrize("script", [
+        _IMPORT_EVERY_MODULE, _RUN_EVERY_ENTRY_POINT,
+    ], ids=["import-every-module", "run-every-entry-point"])
+    def test_openssl_is_never_loaded(self, script):
+        """SHA-256 and randomness come from the interpreter's built-in
+        module and ``os.urandom``: no ``hashlib`` or ``secrets``, so no
+        ``libcrypto`` in the process."""
+        loaded = _modules_loaded_after(script)
+        assert loaded.isdisjoint(_OPENSSL_MODULES), sorted(
+            loaded.intersection(_OPENSSL_MODULES)
+        )
 
     def test_import_repro_loads_only_the_root_package(self):
         assert _repro_modules_loaded_by("import repro") == {"repro"}
