@@ -9,12 +9,13 @@ Topology (simulated, same process)::
                                └─> urn:vo:tn:s2  TNWebService (+ WAL)
 
 Routing: ``StartNegotiation`` hashes its idempotency key (``requestId``
-when present, else the requester name) onto the ring; the minted
-negotiation id is pinned to that shard in the placement map, and the
-phase operations follow the pin.  Forwarding goes through whatever
-transport the router was built on — stack it on a
-:class:`~repro.faults.injector.FaultInjector` and shard hops become faultable
-calls like any other.
+when present, else the requester name) onto the ring; the shard that
+answers mints the negotiation id in its own namespace (``tn-s{index}-``),
+and the phase operations follow that prefix.  The placement map records
+only the sessions that failover or migration moved off their minting
+shard.  Forwarding goes through whatever transport the router was built
+on — stack it on a :class:`~repro.faults.injector.FaultInjector` and
+shard hops become faultable calls like any other.
 
 Failover: a forward that fails with a transport-level error (endpoint
 down, response lost) declares the shard dead, replays its durable
@@ -251,7 +252,9 @@ class ShardedTNService:
         self.restarts = 0
         self.migrations = 0
         self.sessions_recovered = 0
-        self._placements: dict[str, int] = {}  # negotiationId -> shard
+        #: negotiationId -> shard, for moved sessions only; every other
+        #: session lives on the shard its id prefix names.
+        self._placements: dict[str, int] = {}
         self._start_replays: dict[str, dict] = {}  # requestId -> start
         #: Starts answered from the router's replay map.
         self.start_replays = 0
@@ -359,8 +362,8 @@ class ShardedTNService:
             node_id=f"tn-s{node.index}",
         )
         recovered = 0
-        for session_id in list(service.sessions()):
-            if self._placements.get(session_id, index) != index:
+        for session_id in service.session_ids():
+            if self.placement_index(session_id) not in (None, index):
                 service.release_session(session_id)
             else:
                 recovered += 1
@@ -446,14 +449,10 @@ class ShardedTNService:
             key = request_key or getattr(requester, "name", "") or "anonymous"
             node = self._node_for_key(key)
             if self._should_hedge(request_key):
-                response, served_by = self._hedged_start(node, key, payload)
+                response, _ = self._hedged_start(node, key, payload)
             else:
-                response, served_by = self._forward(node, operation, payload)
-            negotiation_id = None
-            if isinstance(response, dict):
-                negotiation_id = response.get("negotiationId")
-            if negotiation_id:
-                self._placements[negotiation_id] = served_by.index
+                response, _ = self._forward(node, operation, payload)
+            if isinstance(response, dict) and response.get("negotiationId"):
                 self._remember_start(request_key, payload, response)
             return response
         negotiation_id = ""
@@ -603,7 +602,7 @@ class ShardedTNService:
         )
 
     def _node_for_session(self, negotiation_id: str) -> ShardNode:
-        index = self._placements.get(negotiation_id)
+        index = self.placement_index(negotiation_id)
         if index is not None:
             node = self._nodes[index]
             if node.live:
@@ -614,9 +613,9 @@ class ShardedTNService:
             if survivor is not None:
                 return survivor
             return node  # no survivor: let the forward fail visibly
-        # Unknown id — probe traffic or a pre-cluster session.  Route
-        # by hash so exactly one shard answers (typically with a typed
-        # unknown-session rejection).
+        # Not a minted id — probe traffic or a pre-cluster session.
+        # Route by hash so exactly one shard answers (typically with a
+        # typed unknown-session rejection).
         return self._node_for_key(negotiation_id or "unplaced")
 
     def _forward(
@@ -771,7 +770,6 @@ class ShardedTNService:
         if not loser_id or not loser.live or loser.service is None:
             return
         loser.service.release_session(loser_id)
-        self._placements.pop(loser_id, None)
         self.hedge_stats.cancelled += 1
         if obs_enabled():
             obs_count("cluster.hedges.cancelled")
@@ -870,13 +868,13 @@ class ShardedTNService:
         moved = 0
         checkpoints = dead.session_store.latest()
         for session_id in sorted(checkpoints):
-            if self._placements.get(session_id, dead.index) != dead.index:
+            if self.placement_index(session_id) not in (None, dead.index):
                 continue  # already migrated in an earlier failover
             assert successor.service is not None
             successor.service.adopt_session(
                 checkpoints[session_id], self.agents
             )
-            self._placements[session_id] = successor.index
+            self._place(session_id, successor.index)
             moved += 1
         self.failovers += 1
         self.sessions_recovered += moved
@@ -905,11 +903,11 @@ class ShardedTNService:
                 f"cannot migrate {session_id!r} to dead shard "
                 f"{target.url!r}"
             )
-        source_index = self._placements.get(session_id)
+        source_index = self.placement_index(session_id)
         if source_index is None:
             raise ServiceError(f"unknown session {session_id!r}")
         if source_index == target_index:
-            session = target.service.sessions().get(session_id)
+            session = target.service.session(session_id)
             if session is None:
                 raise ServiceError(
                     f"placement map points {session_id!r} at "
@@ -917,7 +915,7 @@ class ShardedTNService:
                 )
             return session
         source = self._nodes[source_index]
-        element = source.session_store.latest().get(session_id)
+        element = source.session_store.get(session_id)
         if element is None:
             raise ServiceError(
                 f"no journalled checkpoint of {session_id!r} on "
@@ -926,7 +924,7 @@ class ShardedTNService:
         session = target.service.adopt_session(element, self.agents)
         if source.live and source.service is not None:
             source.service.release_session(session_id)
-        self._placements[session_id] = target_index
+        self._place(session_id, target_index)
         self.migrations += 1
         if obs_enabled():
             obs_event(
@@ -938,12 +936,30 @@ class ShardedTNService:
             )
         return session
 
+    def _place(self, session_id: str, index: int) -> None:
+        """Pin a moved session; a move back home needs no entry."""
+        self._placements.pop(session_id, None)
+        if self.placement_index(session_id) != index:
+            self._placements[session_id] = index
+
     def placement(self, session_id: str) -> Optional[str]:
-        index = self._placements.get(session_id)
+        index = self.placement_index(session_id)
         return self._nodes[index].url if index is not None else None
 
     def placement_index(self, session_id: str) -> Optional[int]:
-        return self._placements.get(session_id)
+        """The shard that holds ``session_id``: where failover or
+        migration moved it, else the shard its ``tn-s{index}-`` prefix
+        names; None for an id no shard of this router mints."""
+        index = self._placements.get(session_id)
+        if index is not None:
+            return index
+        prefix, _, serial = session_id.rpartition("-")
+        if not (prefix.startswith("tn-s") and serial.isdigit()):
+            return None
+        index_text = prefix[len("tn-s"):]
+        if not index_text.isdigit() or int(index_text) >= len(self._nodes):
+            return None
+        return int(index_text)
 
     # -- aggregate views (soak/report surface) ----------------------------------------
 
@@ -960,7 +976,7 @@ class ShardedTNService:
         latest: dict[str, ET.Element] = {}
         for node in self._nodes:
             for session_id, element in node.session_store.latest().items():
-                owner = self._placements.get(session_id)
+                owner = self.placement_index(session_id)
                 if owner == node.index or session_id not in latest:
                     latest[session_id] = element
         return latest

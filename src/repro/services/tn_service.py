@@ -37,6 +37,11 @@ Resilience (this module's additions for partial failure):
   is appended as one ``<negotiationSession>`` element to the service's
   :class:`~repro.storage.session_store.SessionStore` journal, the one
   durable copy of a session.  Checkpoints survive a service crash.
+- **Residency** — a terminal session stays in memory for one session
+  TTL after its last contact, so every faithful retry inside a client
+  deadline is replayed from its recorded response.  Then it leaves
+  memory and lives only in the journal: a later contact reads its
+  final checkpoint back, as a restarted node would see it.
 - **Suspend/resume** — :meth:`crash` simulates the process dying
   (volatile sessions lost, URL unbound); :meth:`TNWebService.restore`
   rebuilds a service from the journal and continues interrupted
@@ -170,8 +175,8 @@ class TNWebService:
             else InMemorySessionStore()
         )
         #: Session-id prefix.  Cluster shards mint from disjoint
-        #: namespaces (``tn-s0-1``, ``tn-s1-1``, ...) so the router's
-        #: placement map never sees colliding ids.
+        #: namespaces (``tn-s0-1``, ``tn-s1-1``, ...), so ids never
+        #: collide and the router places a session by its prefix.
         self.node_id = node_id or "tn"
         self.guard = hardening.guard() if hardening is not None else None
         self.admission = (
@@ -179,8 +184,16 @@ class TNWebService:
         )
         self.internal_errors = 0
         self._session_ids = itertools.count(1)
+        #: Resident sessions; a terminal one leaves after a TTL idle.
         self._sessions: dict[str, NegotiationSession] = {}
         self._requests: dict[str, str] = {}  # requestId -> session_id
+        #: Resident terminal sessions, least recently contacted first:
+        #: the eviction sweep walks it from the front.
+        self._terminal: dict[str, None] = {}
+        #: Journalled sessions handed off to another node (migration,
+        #: a cancelled hedge leg): no longer this node's to answer.
+        self._released: set[str] = set()
+        self.sessions_evicted = 0
         self._closed = False
         #: Live (non-terminal) session count and its high-water mark —
         #: the service-side measure of concurrent-session capacity.
@@ -224,27 +237,31 @@ class TNWebService:
     def close(self) -> None:
         """Graceful shutdown: checkpoint, unbind, and clear sessions.
 
-        Idempotent.  After ``close()`` the URL is free again, so a new
-        service (or :meth:`restore`) can bind at the same address.
+        Idempotent.  Only non-terminal sessions are checkpointed: a
+        terminal session's final state is in the journal already.  After
+        ``close()`` the URL is free again, so a new service (or
+        :meth:`restore`) can bind at the same address.
         """
         if self._closed:
             return
         for session in self._sessions.values():
-            self._checkpoint(session)
+            if not session.terminal:
+                self._checkpoint(session)
         self.transport.unbind(self.url)
-        self._sessions.clear()
-        self._requests.clear()
-        self._closed = True
-        if self._in_flight:
-            self._track_terminal(self._in_flight)
+        self._forget_all()
 
     def crash(self) -> None:
         """Simulate the process dying: volatile state is lost *without*
         a final checkpoint flush; only per-operation checkpoints
         already in the journal survive."""
         self.transport.unbind(self.url)
+        self._forget_all()
+
+    def _forget_all(self) -> None:
         self._sessions.clear()
         self._requests.clear()
+        self._terminal.clear()
+        self._released.clear()
         self._closed = True
         if self._in_flight:
             self._track_terminal(self._in_flight)
@@ -277,8 +294,10 @@ class TNWebService:
         checkpointed outcome.
 
         The journal is replayed into per-session latest state and the
-        restored service keeps appending to it.  Restored sessions
-        re-anchor their TTL at restore time; their original
+        restored service keeps appending to it.  The restored service
+        owns every journalled session but keeps only non-terminal ones
+        in memory; terminal ones are read back on contact.  Restored
+        sessions re-anchor their TTL at restore time; their original
         ``touched_ms`` belongs to the dead node's timeline and would
         otherwise get live sessions reaped as "expired" the moment the
         reaper runs.
@@ -294,21 +313,22 @@ class TNWebService:
         for doc_id in sorted(checkpoints_by_id):
             element = checkpoints_by_id[doc_id]
             session = cls._session_from_xml(element, agents)
-            session.touched_ms = now_ms
-            service._sessions[session.session_id] = session
-            service._track_opened(session)
             if session.request_id:
                 service._requests[session.request_id] = session.session_id
             prefix, _, suffix = session.session_id.rpartition("-")
             if suffix.isdigit():
                 highest = max(highest, int(suffix))
+            if not session.terminal:
+                session.touched_ms = now_ms
+                service._sessions[session.session_id] = session
+                service._track_opened(session)
         service._session_ids = itertools.count(highest + 1)
         if obs_enabled():
             obs_event(
                 "tn_service.restore",
                 clock=transport.clock,
                 url=url,
-                sessions=len(service._sessions),
+                sessions=len(checkpoints_by_id),
             )
         return service
 
@@ -322,16 +342,19 @@ class TNWebService:
         Failover and explicit migration both land here: the session is
         rebuilt from its last checkpoint, its TTL re-anchored on this
         node's timeline, and a fresh checkpoint written so this node's
-        journal becomes authoritative.  An existing live session with the
-        same id is left untouched (adoption is idempotent).
+        journal becomes authoritative.  A session this node already
+        owns is left untouched (adoption is idempotent).  A terminal
+        session is only journalled, not kept in memory.
         """
         session = self._session_from_xml(element, agents or {})
-        existing = self._sessions.get(session.session_id)
+        existing = self.session(session.session_id)
         if existing is not None:
             return existing
-        session.touched_ms = self.transport.clock.elapsed_ms
-        self._sessions[session.session_id] = session
-        self._track_opened(session)
+        self._released.discard(session.session_id)
+        if not session.terminal:
+            session.touched_ms = self.transport.clock.elapsed_ms
+            self._sessions[session.session_id] = session
+            self._track_opened(session)
         if session.request_id:
             self._requests[session.request_id] = session.session_id
         self._checkpoint(session)
@@ -486,6 +509,10 @@ class TNWebService:
             )
         session = self._session(payload)
         session.touched_ms = self.transport.clock.elapsed_ms
+        if session.session_id in self._terminal:
+            # contacted again: to the back of the eviction queue
+            del self._terminal[session.session_id]
+            self._terminal[session.session_id] = None
         seq = payload.get("clientSeq")
         resource = (
             payload.get("resource", "")
@@ -532,22 +559,116 @@ class TNWebService:
         self._checkpoint(session)
         if not was_terminal and session.terminal:
             self._track_terminal()
+            self._terminal[session.session_id] = None
+            self._evict_idle()
         return response
 
     def _session(self, payload: dict) -> NegotiationSession:
         session_id = payload.get("negotiationId", "")
         session = self._sessions.get(session_id)
         if session is None:
-            raise SessionError(f"unknown negotiation id {session_id!r}")
+            session = self._read_back(session_id)
+            if session is None:
+                raise SessionError(f"unknown negotiation id {session_id!r}")
+            # contacted: resident again for another TTL
+            self._sessions[session_id] = session
+            self._track_opened(session)
+            if session.terminal:
+                self._terminal[session_id] = None
         return session
 
+    # -- residency -------------------------------------------------------------------
+
+    @property
+    def session_ttl_ms(self) -> float:
+        """Idle time after which the reaper expires a live session and
+        a terminal session leaves memory."""
+        if self.hardening is not None:
+            return self.hardening.session_ttl_ms
+        return 120_000.0
+
+    def _evict_idle(self) -> None:
+        """Evict every queued terminal session idle for a TTL; its
+        final checkpoint is in the journal already.  Runs on each
+        terminal transition of a contacted session."""
+        queue = self._terminal
+        now = self.transport.clock.elapsed_ms
+        ttl = self.session_ttl_ms
+        evicted = 0
+        while queue:
+            session_id = next(iter(queue))
+            session = self._sessions.get(session_id)
+            if session is not None and session.terminal:
+                if now - session.touched_ms < ttl:
+                    break
+                del self._sessions[session_id]
+                evicted += 1
+            del queue[session_id]
+        if evicted:
+            self.sessions_evicted += evicted
+            obs_count("tn_service.sessions_evicted", evicted)
+
+    def _read_back(self, session_id: str) -> Optional[NegotiationSession]:
+        """An owned session that is not resident, from its last
+        checkpoint, or None.  A session checkpointed complete comes
+        back terminal, its result rebuilt from the checkpointed
+        outcome."""
+        if session_id in self._released:
+            return None
+        element = self.session_store.get(session_id)
+        if element is None:
+            return None
+        return self._from_journal(element)
+
+    def _from_journal(self, element: ET.Element) -> NegotiationSession:
+        session = self._session_from_xml(element, {})
+        if session.phase == "exchange":
+            session.result = self._degraded_result(session)
+        return session
+
+    def session(self, session_id: str) -> Optional[NegotiationSession]:
+        """The session ``session_id`` if this node owns it: the
+        resident object, or one read back from the journal."""
+        session = self._sessions.get(session_id)
+        if session is None:
+            session = self._read_back(session_id)
+        return session
+
+    def session_ids(self) -> list[str]:
+        """Ids of every session this node owns, resident or only
+        journalled, without reading the journal."""
+        if self._closed:
+            return []
+        owned = dict.fromkeys(self._sessions)
+        owned.update(
+            (session_id, None)
+            for session_id in self.session_store.session_ids()
+            if session_id not in self._released
+        )
+        return list(owned)
+
     def sessions(self) -> dict[str, NegotiationSession]:
-        return dict(self._sessions)
+        """Every session this node owns; the ones that left memory are
+        read back from the journal."""
+        owned = dict(self._sessions)
+        missing = [
+            session_id for session_id in self.session_ids()
+            if session_id not in owned
+        ]
+        if missing:
+            checkpoints = self.session_store.latest()
+            for session_id in missing:
+                owned[session_id] = self._from_journal(
+                    checkpoints[session_id]
+                )
+        return owned
 
     def release_session(self, session_id: str) -> None:
         """Forget a session locally without touching its durable
         checkpoints — the hand-off half of a migration to another
         node, which adopts from the checkpoint."""
+        self._released.add(session_id)
+        self._terminal.pop(session_id, None)
         session = self._sessions.pop(session_id, None)
         if session is not None:
             if session.request_id:
@@ -566,12 +687,7 @@ class TNWebService:
         "no session ends non-terminal" invariant holds under abuse.
         Returns the number of sessions reaped.
         """
-        ttl = older_than_ms
-        if ttl is None:
-            ttl = (
-                self.hardening.session_ttl_ms
-                if self.hardening is not None else 120_000.0
-            )
+        ttl = self.session_ttl_ms if older_than_ms is None else older_than_ms
         now = self.transport.clock.elapsed_ms
         reaped = 0
         for session in self._sessions.values():
@@ -581,6 +697,8 @@ class TNWebService:
                 session.phase = "expired"
                 reaped += 1
                 self._checkpoint(session)
+                # queued: the next terminal transition evicts it
+                self._terminal[session.session_id] = None
         if reaped:
             self._track_terminal(reaped)
         if reaped and obs_enabled():
@@ -612,15 +730,19 @@ class TNWebService:
                 error_code=ErrorCode.SCHEMA_VIOLATION,
             )
         strategy = Strategy.parse(payload.get("strategy", "standard"))
-        if request_id and request_id in self._requests:
+        recorded = (
+            self.session(self._requests[request_id])
+            if request_id and request_id in self._requests else None
+        )
+        if recorded is not None:
             # Idempotent retry: the first delivery already opened the
-            # session; hand the same id back without re-billing — but
-            # only if the retry carries the original payload.  The same
-            # requestId arriving with a different requester or strategy
-            # is a duplicate-key bug (e.g. colliding client counters),
-            # which must be rejected rather than silently answered with
+            # session (resident, or read back from the journal); hand
+            # the same id back without re-billing — but only if the
+            # retry carries the original payload.  The same requestId
+            # arriving with a different requester or strategy is a
+            # duplicate-key bug (e.g. colliding client counters), which
+            # must be rejected rather than silently answered with
             # another negotiation's session.
-            recorded = self._sessions[self._requests[request_id]]
             if (
                 recorded.requester_name != requester.name
                 or recorded.strategy is not strategy

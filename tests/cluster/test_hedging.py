@@ -212,7 +212,7 @@ class TestHedgedStart:
         )
         assert result.success
         # exactly one session end-to-end even if the start was hedged
-        assert len(cluster._placements) == 1
+        assert len(cluster.sessions()) == 1
         cluster.close()
 
 

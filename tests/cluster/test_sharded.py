@@ -4,10 +4,12 @@ import pytest
 
 from repro.cluster import ShardedTNService
 from repro.errors import ServiceError, SessionError
+from repro.hardening.soak import check_service_invariants
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import TNWebService
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
+from repro.storage.session_store import WALSessionStore
 from tests.conftest import ISSUE_AT, NEGOTIATION_AT
 
 
@@ -293,10 +295,10 @@ class TestDurableState:
         files = sorted(p.name for p in wal_dir.iterdir())
         assert len(files) == 1 and files[0].startswith("shard-")
 
-        from repro.storage.session_store import WALSessionStore
         reopened = WALSessionStore(wal_dir / files[0])
-        # 3 per-operation records + the close() checkpoint flush
-        assert reopened.records() == 4
+        # 3 per-operation records; close() adds none for a finished
+        # session, whose final checkpoint is already journalled
+        assert reopened.records() == 3
         (element,) = reopened.latest().values()
         assert element.get("phase") == "exchange"
 
@@ -310,3 +312,134 @@ class TestDurableState:
         durable = cluster.durable_sessions()
         assert durable[nid].get("phase") == "exchange"
         assert durable[nid].find("outcome") is not None
+
+
+def complete(transport, requester, request_id):
+    nid = start_and_policy(transport, requester, request_id)
+    transport.call("urn:tn", "CredentialExchange", {
+        "negotiationId": nid, "clientSeq": 2,
+    })
+    return nid
+
+
+def complete_on(transport, cluster, requester, shard):
+    """Finish negotiations until one is served by ``shard``."""
+    for attempt in range(64):
+        nid = complete(transport, requester, f"req-on-{shard}-{attempt}")
+        if cluster.placement_index(nid) == shard:
+            return nid
+    raise AssertionError(f"no negotiation landed on shard {shard}")
+
+
+def records_parsed(cluster):
+    return sum(node.session_store.records_parsed for node in cluster.nodes())
+
+
+class TestResidency:
+    """Finished sessions leave shard memory after one session TTL; the
+    router pins only the sessions it moved."""
+
+    @pytest.fixture()
+    def wal_cluster(self, parties, tmp_path):
+        requester, controller = parties
+        transport = SimTransport()
+        cluster = ShardedTNService(
+            controller, transport, url="urn:tn", shards=2,
+            agents={requester.name: requester}, wal_dir=str(tmp_path),
+        )
+        yield transport, cluster, requester
+        if not cluster.closed:
+            cluster.close()
+
+    def evicted_session(self, transport, cluster, requester):
+        """Finish one negotiation, let a TTL pass, and finish another
+        on the same shard: its terminal transition sweeps the first
+        out of memory."""
+        nid = complete(transport, requester, "req-evicted")
+        shard = cluster.placement_index(nid)
+        service = cluster.nodes()[shard].service
+        transport.clock.advance(service.session_ttl_ms)
+        complete_on(transport, cluster, requester, shard)
+        assert nid not in service._sessions
+        assert service.sessions_evicted == 1
+        return nid
+
+    def test_placements_hold_only_moved_sessions(self, cluster_fixture):
+        transport, cluster, requester, _ = cluster_fixture
+        nids = [complete(transport, requester, f"req-{i}") for i in range(4)]
+        assert cluster._placements == {}
+        for nid in nids:  # placed by prefix on the shard that holds it
+            owner = cluster.nodes()[cluster.placement_index(nid)]
+            assert nid in owner.service.session_ids()
+        moved = start_and_policy(transport, requester, "req-moved")
+        target = (cluster.placement_index(moved) + 1) % 3
+        cluster.migrate_session(moved, target)
+        assert cluster._placements == {moved: target}
+
+    def test_migrating_an_evicted_session_reads_one_record(
+        self, wal_cluster
+    ):
+        transport, cluster, requester = wal_cluster
+        nid = self.evicted_session(transport, cluster, requester)
+        target = 1 - cluster.placement_index(nid)
+        parsed = records_parsed(cluster)
+        session = cluster.migrate_session(nid, target)
+        assert records_parsed(cluster) == parsed + 1
+        assert session.session_id == nid
+        assert cluster.placement_index(nid) == target
+
+    def test_health_probe_parses_no_record(self, wal_cluster):
+        transport, cluster, requester = wal_cluster
+        self.evicted_session(transport, cluster, requester)
+        parsed = records_parsed(cluster)
+        with pytest.raises(SessionError):
+            transport.call("urn:tn", "PolicyExchange", {
+                "negotiationId": "__health_probe__", "resource": "",
+                "clientSeq": 1,
+            })
+        assert records_parsed(cluster) == parsed
+
+    def test_close_journals_nothing_for_finished_sessions(
+        self, wal_cluster, tmp_path
+    ):
+        transport, cluster, requester = wal_cluster
+        for index in range(4):
+            complete(transport, requester, f"req-{index}")
+        records = cluster.wal_records()
+        cluster.close()
+        reopened = [
+            WALSessionStore(path) for path in sorted(tmp_path.iterdir())
+        ]
+        assert sum(store.records() for store in reopened) == records
+
+    def test_invariant_holds_for_evicted_sessions(self, cluster_fixture):
+        transport, cluster, requester, _ = cluster_fixture
+        self.evicted_session(transport, cluster, requester)
+        violations = []
+        check_service_invariants(
+            cluster, lambda *v: violations.append(v), cluster=cluster
+        )
+        assert violations == []
+
+    def test_invariant_catches_a_lost_evicted_session(self, cluster_fixture):
+        """Terminal durability keeps its strength for sessions that
+        live only in the journal: a session that left memory after its
+        owner lost its records, while another shard still holds a
+        terminal checkpoint, is reported lost."""
+        transport, cluster, requester, _ = cluster_fixture
+        nid = complete(transport, requester, "req-1")
+        owner = (cluster.placement_index(nid) + 1) % 3
+        cluster.migrate_session(nid, owner)
+        service = cluster.nodes()[owner].service
+        transport.clock.advance(service.session_ttl_ms)
+        assert cluster.reap_expired() == 1
+        # the owner loses both of its records (adoption, expiry), then
+        # the next terminal transition on it evicts the session
+        assert cluster.tear_wal(owner) and cluster.tear_wal(owner)
+        complete_on(transport, cluster, requester, owner)
+        assert nid not in service._sessions
+        violations = []
+        check_service_invariants(
+            cluster, lambda *v: violations.append(v), cluster=cluster
+        )
+        assert [name for name, _ in violations] == ["terminal-durability"]

@@ -42,9 +42,18 @@ def make_session_store(request, tmp_path):
     is exactly what a restarted process would do."""
     if request.param == "memory":
         store = InMemorySessionStore()
-        return lambda: store
+        yield lambda: store
+        return
     path = tmp_path / "sessions.wal"
-    return lambda: WALSessionStore(path)
+    opened = []
+
+    def reopen():
+        opened.append(WALSessionStore(path))
+        return opened[-1]
+
+    yield reopen
+    for store in opened:
+        store.close()
 
 
 def run_policy_phase(transport, requester):

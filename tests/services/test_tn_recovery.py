@@ -3,12 +3,14 @@ close() lifecycle, and degraded completion."""
 
 import pytest
 
-from repro.errors import SessionError, TransportError
+from repro.errors import ErrorCode, GuardRejection, SessionError, TransportError
+from repro.hardening.config import HardeningConfig
 from repro.negotiation.cache import SequenceCache
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import NegotiationSession, TNWebService
 from repro.services.transport import SimTransport
 from repro.storage.document_store import XMLDocumentStore
+from repro.storage.session_store import WALSessionStore
 from tests.conftest import ISSUE_AT, NEGOTIATION_AT
 
 
@@ -313,3 +315,120 @@ class TestSessionSerialization:
         assert session.restored
         assert session.checkpoint_outcome is not None
         assert session.checkpoint_outcome["success"]
+
+
+def complete(transport, requester, request_id):
+    """Run one negotiation phase by phase; returns the negotiation id
+    and the final ``CredentialExchange`` response."""
+    start = transport.call("urn:tn", "StartNegotiation", {
+        "requester": requester, "strategy": "standard",
+        "requestId": request_id,
+    })
+    nid = start["negotiationId"]
+    transport.call("urn:tn", "PolicyExchange", {
+        "negotiationId": nid, "resource": "VoMembership",
+        "at": NEGOTIATION_AT, "clientSeq": 1,
+    })
+    final = transport.call("urn:tn", "CredentialExchange", {
+        "negotiationId": nid, "clientSeq": 2,
+    })
+    return nid, final
+
+
+class TestResidency:
+    """A terminal session stays in memory for one session TTL after its
+    last contact, then lives only in the journal."""
+
+    @pytest.fixture()
+    def served(self, parties, tmp_path):
+        requester, controller = parties
+        transport = SimTransport()
+        store = WALSessionStore(tmp_path / "tn.wal")
+        service = TNWebService(
+            controller, transport, XMLDocumentStore("tn"), "urn:tn",
+            hardening=HardeningConfig(), session_store=store,
+        )
+        yield transport, service, store, requester
+        service.close()
+        store.close()
+
+    def evict(self, transport, service, requester):
+        """Finish one negotiation, then let a TTL pass and finish
+        another: its terminal transition sweeps the first out."""
+        nid, final = complete(transport, requester, "req-1")
+        transport.clock.advance(service.session_ttl_ms)
+        complete(transport, requester, "req-2")
+        return nid, final
+
+    def test_replay_inside_ttl_is_answered_from_memory(self, served):
+        transport, service, store, requester = served
+        nid, final = complete(transport, requester, "req-1")
+        transport.clock.advance(service.session_ttl_ms / 2)
+        complete(transport, requester, "req-2")
+        records = store.records()
+        replay = transport.call("urn:tn", "CredentialExchange", {
+            "negotiationId": nid, "clientSeq": 2,
+        })
+        assert replay is final
+        assert store.records() == records
+        assert service.sessions_evicted == 0
+
+    def test_session_leaves_memory_after_ttl(self, served):
+        transport, service, store, requester = served
+        nid, _ = self.evict(transport, service, requester)
+        assert nid not in service._sessions
+        assert service.sessions_evicted == 1
+        # still owned: read back from the journal, terminal
+        assert service.sessions()[nid].terminal
+        for seq in (2, 3):  # the replay window closed with the TTL
+            with pytest.raises(GuardRejection) as excinfo:
+                transport.call("urn:tn", "CredentialExchange", {
+                    "negotiationId": nid, "clientSeq": seq,
+                })
+            assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
+
+    def test_start_retry_of_evicted_session_returns_same_id(self, served):
+        transport, service, store, requester = served
+        nid, _ = self.evict(transport, service, requester)
+        records = store.records()
+        retry = transport.call("urn:tn", "StartNegotiation", {
+            "requester": requester, "strategy": "standard",
+            "requestId": "req-1",
+        })
+        assert retry == {"negotiationId": nid}
+        assert store.records() == records
+        assert nid not in service._sessions
+
+    def test_unknown_ids_parse_no_record(self, served):
+        transport, service, store, requester = served
+        self.evict(transport, service, requester)
+        parsed = store.records_parsed
+        for nid in ("__health_probe__", "tn-999"):
+            with pytest.raises(SessionError):
+                service.handle("PolicyExchange", {
+                    "negotiationId": nid, "resource": "VoMembership",
+                    "clientSeq": 1,
+                })
+        assert store.records_parsed == parsed
+
+    def test_restore_keeps_only_live_sessions_resident(self, parties):
+        requester, controller = parties
+        transport = SimTransport()
+        service = TNWebService(controller, transport,
+                               XMLDocumentStore("tn"), "urn:tn")
+        abandoned = run_policy_phase(transport, requester)
+        service.reap_expired(older_than_ms=0.0)
+        live = transport.call("urn:tn", "StartNegotiation", {
+            "requester": requester, "strategy": "standard",
+            "requestId": "req-2",
+        })["negotiationId"]
+        service.crash()
+        records = service.session_store.records()
+        restored = TNWebService.restore(
+            controller, transport, XMLDocumentStore("tn2"), "urn:tn",
+            session_store=service.session_store,
+        )
+        assert set(restored._sessions) == {live}
+        assert restored.sessions()[abandoned].phase == "expired"
+        assert set(restored.sessions()) == {abandoned, live}
+        assert service.session_store.records() == records

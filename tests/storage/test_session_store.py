@@ -1,6 +1,8 @@
 """SessionStore backends: journal semantics, WAL recovery, torn writes."""
 
+import gc
 import tempfile
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -55,6 +57,25 @@ class TestJournalSemantics:
         assert store.latest()["tn-1"].get("phase") == "started"
         assert store.records() == 1
 
+    def test_get_reads_one_session(self, store):
+        store.append("tn-1", checkpoint("tn-1", "started"))
+        store.append("tn-2", checkpoint("tn-2", "started"))
+        store.append("tn-1", checkpoint("tn-1", "policy"))
+        assert store.get("tn-1").get("phase") == "policy"
+        assert store.get("tn-2").get("phase") == "started"
+        assert store.get("tn-3") is None
+        assert set(store.session_ids()) == {"tn-1", "tn-2"}
+
+    def test_tear_repoints_get_at_the_record_before(self, store):
+        store.append("tn-1", checkpoint("tn-1", "started"))
+        store.append("tn-2", checkpoint("tn-2", "started"))
+        store.append("tn-1", checkpoint("tn-1", "policy"))
+        store.tear_last_record()
+        assert store.get("tn-1").get("phase") == "started"
+        store.tear_last_record()
+        assert store.get("tn-2") is None
+        assert set(store.session_ids()) == {"tn-1"}
+
     def test_append_after_tear_overwrites_torn_tail(self, store):
         store.append("tn-1", checkpoint("tn-1", "started"))
         store.append("tn-1", checkpoint("tn-1", "policy"))
@@ -62,6 +83,47 @@ class TestJournalSemantics:
         store.append("tn-1", checkpoint("tn-1", "exchange"))
         assert store.latest()["tn-1"].get("phase") == "exchange"
         assert store.records() == 2
+
+
+class TestWALReads:
+    def test_get_parses_one_record_and_a_miss_none(self, tmp_path):
+        wal = WALSessionStore(tmp_path / "sessions.wal")
+        for index in range(20):
+            wal.append(f"tn-{index}", checkpoint(f"tn-{index}", "started"))
+        parsed = wal.records_parsed
+        assert wal.get("tn-7").get("id") == "tn-7"
+        assert wal.records_parsed == parsed + 1
+        assert wal.get("__health_probe__") is None
+        assert wal.records_parsed == parsed + 1
+        wal.close()
+
+    def test_reopened_index_reads_the_last_record(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        wal = WALSessionStore(path)
+        wal.append("tn-1", checkpoint("tn-1", "started"))
+        wal.append("tn-2", checkpoint("tn-2", "started"))
+        wal.append("tn-1", checkpoint("tn-1", "exchange"))
+        wal.close()
+        reopened = WALSessionStore(path)
+        assert reopened.get("tn-1").get("phase") == "exchange"
+        assert reopened.get("tn-2").get("phase") == "started"
+
+    def test_close_releases_the_append_handle(self, tmp_path):
+        path = tmp_path / "sessions.wal"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wal = WALSessionStore(path)
+            wal.append("tn-1", checkpoint("tn-1", "started"))
+            wal.close()
+            # a closed store appends again through a fresh handle
+            wal.append("tn-1", checkpoint("tn-1", "policy"))
+            wal.close()
+            del wal
+            gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+        assert WALSessionStore(path).records() == 2
 
 
 class TestWALRecovery:
@@ -150,6 +212,7 @@ class TestWALRecovery:
         reopened.append("tn-1", checkpoint("tn-1", "expired"))
         assert reopened.last_lsn == 2
         assert reopened.latest()["tn-1"].get("phase") == "expired"
+        reopened.close()
 
     def test_mid_file_corruption_is_not_a_torn_write(self, tmp_path):
         path = tmp_path / "sessions.wal"
@@ -209,10 +272,10 @@ _WAL_OPS = st.lists(
 
 
 class TestWALViewsAgree:
-    """``records()`` counts LSNs and ``latest()`` re-reads the file, so
-    neither keeps a copy of the journal: both must still agree with a
-    plain list model through appends, tears, reopens and torn-tail
-    recovery."""
+    """``records()`` counts LSNs, ``latest()`` re-reads the file and
+    ``get()`` reads one record through the index, so none keeps a copy
+    of the journal: all must still agree with a plain list model through
+    appends, tears, reopens and torn-tail recovery."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=_WAL_OPS)
@@ -246,6 +309,10 @@ class TestWALViewsAgree:
                     sid: element.get("phase")
                     for sid, element in latest.items()
                 } == expected
+                assert {
+                    sid: wal.get(sid).get("phase")
+                    for sid in wal.session_ids()
+                } == expected
             wal.close()
 
     def test_torn_tail_left_by_tear_is_invisible_to_latest(self, tmp_path):
@@ -258,3 +325,4 @@ class TestWALViewsAgree:
         assert not path.read_bytes().endswith(b"\n")
         assert set(wal.latest()) == {"tn-1"}
         assert wal.records() == 1
+        wal.close()
