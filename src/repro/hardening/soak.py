@@ -47,7 +47,8 @@ Three more invariants then apply:
 
 - **terminal durability** — zero sessions whose journal reached a
   terminal checkpoint are lost (or regress to non-terminal) across
-  every crash, torn write, failover, and restart;
+  every crash, torn write, failover, and restart, and every durable
+  completed checkpoint keeps its outcome;
 - **hedge accounting** — no more hedge wins than hedges fired;
 - **audit chain** — when ``audit_log_path`` is set, the sealed
   hash-chained event log verifies end to end
@@ -469,7 +470,8 @@ def check_service_invariants(service, violate, cluster=None) -> None:
     - **session terminality** — every session the service still holds
       ended in a terminal phase (completed or expired/reaped);
     - **terminal durability** (cluster only) — no durably-terminal
-      session was lost or regressed across crash/failover/recovery;
+      session was lost or regressed across crash/failover/recovery,
+      and no durable completed checkpoint lacks its outcome;
     - **admission reconciliation** — ``offered == admitted + shed +
       expired`` on the (aggregate) admission controller;
     - **exception hygiene** — the service wrapped zero internal errors.
@@ -483,19 +485,19 @@ def check_service_invariants(service, violate, cluster=None) -> None:
                 f"{session.requester_name!r})",
             )
     if cluster is not None:
+        from repro.services.tn_service import TERMINAL_PHASES
+
         # Zero terminal sessions lost: every session whose *durable*
         # journal reached a terminal checkpoint must still exist, and
         # still be terminal, on some live shard after every crash,
-        # failover, torn write, and restart of the run.
+        # failover, torn write, and restart of the run; a completed
+        # one must keep its outcome in that checkpoint.
         final_sessions = service.sessions()
         for session_id, element in sorted(
             cluster.durable_sessions().items()
         ):
-            checkpoint_terminal = element.get("phase") == "expired" or (
-                element.get("phase") == "exchange"
-                and element.find("outcome") is not None
-            )
-            if not checkpoint_terminal:
+            phase = element.get("phase")
+            if phase not in TERMINAL_PHASES:
                 continue
             final = final_sessions.get(session_id)
             if final is None:
@@ -509,6 +511,12 @@ def check_service_invariants(service, violate, cluster=None) -> None:
                     "terminal-durability",
                     f"session {session_id!r} checkpointed terminal but "
                     f"recovered in phase {final.phase!r}",
+                )
+            elif phase == "exchange" and element.find("outcome") is None:
+                violate(
+                    "terminal-durability",
+                    f"session {session_id!r} checkpointed complete "
+                    "without its outcome",
                 )
     if service.admission is not None and not service.admission.stats.reconciles:
         stats = service.admission.stats

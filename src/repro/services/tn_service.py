@@ -95,7 +95,12 @@ from repro.storage.document_store import XMLDocumentStore
 from repro.storage.session_store import InMemorySessionStore, SessionStore
 from repro.trust import trust_epoch
 
-__all__ = ["TNWebService", "NegotiationSession"]
+__all__ = ["TNWebService", "NegotiationSession", "TERMINAL_PHASES"]
+
+#: The phases of a session that accepts no new work: ``exchange`` (set
+#: only once the exchange phase produced a result) and ``expired`` (set
+#: by the TTL reaper).  A checkpoint in one of them is terminal.
+TERMINAL_PHASES = frozenset({"exchange", "expired"})
 
 
 @dataclass
@@ -123,11 +128,9 @@ class NegotiationSession:
     responses: dict[int, tuple[str, str, dict]] = field(
         default_factory=dict
     )
-    #: Outcome summary recovered from a checkpoint, for degraded
-    #: completion when the requester agent is gone.
-    checkpoint_outcome: Optional[dict] = None
     restored: bool = False
-    #: Simulated ms of the last inbound message, for TTL reaping.
+    #: Simulated ms of the last inbound message, for TTL reaping and
+    #: the replay window; checkpointed.
     touched_ms: float = 0.0
     #: The process-wide trust epoch the stored ``result`` was computed
     #: under; a later epoch forces a revocation re-check before the
@@ -143,9 +146,7 @@ class NegotiationSession:
     def terminal(self) -> bool:
         """A terminal session accepts no new work: the exchange phase
         produced its result, or the TTL reaper expired it."""
-        if self.phase == "expired":
-            return True
-        return self.result is not None and self.phase == "exchange"
+        return self.phase in TERMINAL_PHASES
 
 
 class TNWebService:
@@ -296,11 +297,11 @@ class TNWebService:
         The journal is replayed into per-session latest state and the
         restored service keeps appending to it.  The restored service
         owns every journalled session but keeps only non-terminal ones
-        in memory; terminal ones are read back on contact.  Restored
+        in memory; terminal ones are read back on contact.  Live
         sessions re-anchor their TTL at restore time; their original
         ``touched_ms`` belongs to the dead node's timeline and would
-        otherwise get live sessions reaped as "expired" the moment the
-        reaper runs.
+        otherwise get them reaped as "expired" the moment the reaper
+        runs.
         """
         service = cls(
             owner, transport, store, url, cache=cache, hardening=hardening,
@@ -311,8 +312,7 @@ class TNWebService:
         highest = 0
         now_ms = transport.clock.elapsed_ms
         for doc_id in sorted(checkpoints_by_id):
-            element = checkpoints_by_id[doc_id]
-            session = cls._session_from_xml(element, agents)
+            session = service._rebuild(checkpoints_by_id[doc_id], agents)
             if session.request_id:
                 service._requests[session.request_id] = session.session_id
             prefix, _, suffix = session.session_id.rpartition("-")
@@ -340,16 +340,17 @@ class TNWebService:
         """Take ownership of a session checkpointed on another node.
 
         Failover and explicit migration both land here: the session is
-        rebuilt from its last checkpoint, its TTL re-anchored on this
-        node's timeline, and a fresh checkpoint written so this node's
-        journal becomes authoritative.  A session this node already
-        owns is left untouched (adoption is idempotent).  A terminal
-        session is only journalled, not kept in memory.
+        rebuilt from its last checkpoint, a live one's TTL re-anchored
+        on this node's timeline, and a fresh checkpoint written so this
+        node's journal becomes authoritative.  A session this node
+        already owns is left untouched (adoption is idempotent).  A
+        terminal session keeps its outcome and last contact, and is
+        only journalled, not kept in memory.
         """
-        session = self._session_from_xml(element, agents or {})
-        existing = self.session(session.session_id)
+        existing = self.session(element.get("id", ""))
         if existing is not None:
             return existing
+        session = self._rebuild(element, agents)
         self._released.discard(session.session_id)
         if not session.terminal:
             session.touched_ms = self.transport.clock.elapsed_ms
@@ -395,6 +396,7 @@ class TNWebService:
             "at": session.at.isoformat() if session.at else "",
             "requestId": session.request_id,
             "lastSeq": str(session.last_seq),
+            "touched": repr(session.touched_ms),
             "policyBilled": str(session.policy_phase_billed).lower(),
             "exchangeBilled": str(session.exchange_phase_billed).lower(),
         })
@@ -430,15 +432,25 @@ class TNWebService:
                 phase=session.phase,
             )
 
-    @staticmethod
-    def _session_from_xml(
-        element: ET.Element, agents: dict[str, TrustXAgent]
+    def _rebuild(
+        self,
+        element: ET.Element,
+        agents: Optional[dict[str, TrustXAgent]] = None,
     ) -> NegotiationSession:
+        """A session from its last checkpoint, the one way back in for
+        restore, adoption and read-back.
+
+        The checkpointed outcome becomes the session's result when the
+        engine need not or cannot re-run it: the session is terminal,
+        or its requester agent is gone (degraded completion).  A live
+        session whose requester resolves re-runs the engine instead,
+        deterministically at the checkpointed negotiation time.
+        """
         requester_name = element.get("requester", "")
         at_text = element.get("at", "")
         session = NegotiationSession(
             session_id=element.get("id", ""),
-            requester=agents.get(requester_name),
+            requester=(agents or {}).get(requester_name),
             strategy=Strategy.parse(element.get("strategy", "standard")),
             requester_name=requester_name,
             request_id=element.get("requestId", ""),
@@ -448,25 +460,41 @@ class TNWebService:
             policy_phase_billed=element.get("policyBilled") == "true",
             exchange_phase_billed=element.get("exchangeBilled") == "true",
             last_seq=int(element.get("lastSeq", "0")),
+            touched_ms=float(element.get("touched", "0")),
             restored=True,
         )
         outcome = element.find("outcome")
-        if outcome is not None:
-            disclosed: dict[str, tuple[str, ...]] = {}
-            for block in outcome.findall("disclosedBy"):
-                disclosed[block.get("party", "")] = tuple(
-                    cred.get("id", "")
-                    for cred in block.findall("credential")
-                )
-            session.checkpoint_outcome = {
-                "success": outcome.get("success") == "true",
-                "failure_reason": outcome.get("failureReason", ""),
-                "failure_detail": outcome.get("failureDetail", ""),
-                "policy_messages": int(outcome.get("policyMessages", "0")),
-                "exchange_messages": int(outcome.get("exchangeMessages", "0")),
-                "disclosed_by_requester": disclosed.get("requester", ()),
-                "disclosed_by_controller": disclosed.get("controller", ()),
-            }
+        if outcome is None or session.resource is None or not (
+            session.terminal or session.requester is None
+        ):
+            return session
+        disclosed = {
+            block.get("party", ""): tuple(
+                cred.get("id", "") for cred in block.findall("credential")
+            )
+            for block in outcome.findall("disclosedBy")
+        }
+        reason_text = outcome.get("failureReason", "")
+        session.result = NegotiationResult(
+            resource=session.resource,
+            requester=requester_name,
+            controller=self.owner.name,
+            success=outcome.get("success") == "true",
+            failure_reason=(
+                FailureReason(reason_text) if reason_text else None
+            ),
+            failure_detail=outcome.get("failureDetail", ""),
+            transcript=(
+                TranscriptEvent(
+                    "setup", self.owner.name, "checkpoint-restore",
+                    session.session_id,
+                ),
+            ),
+            policy_messages=int(outcome.get("policyMessages", "0")),
+            exchange_messages=int(outcome.get("exchangeMessages", "0")),
+            disclosed_by_requester=disclosed.get("requester", ()),
+            disclosed_by_controller=disclosed.get("controller", ()),
+        )
         return session
 
     # -- dispatch ---------------------------------------------------------------------
@@ -508,12 +536,25 @@ class TNWebService:
                 error_code=ErrorCode.UNKNOWN_OPERATION,
             )
         session = self._session(payload)
-        session.touched_ms = self.transport.clock.elapsed_ms
+        seq = payload.get("clientSeq")
+        now = self.transport.clock.elapsed_ms
+        if (
+            operation == "CredentialExchange" and seq == session.last_seq
+            and seq not in session.responses and session.phase == "exchange"
+            and session.result is not None
+            and now - session.touched_ms < self.session_ttl_ms
+        ):
+            # Rebuilt from the journal, so no recorded responses: the
+            # replay window still runs from the checkpointed last
+            # contact, and the retry is answered from the outcome.
+            session.responses[seq] = (
+                operation, "", self._exchange_response(session)
+            )
+        session.touched_ms = now
         if session.session_id in self._terminal:
             # contacted again: to the back of the eviction queue
             del self._terminal[session.session_id]
             self._terminal[session.session_id] = None
-        seq = payload.get("clientSeq")
         resource = (
             payload.get("resource", "")
             if operation == "PolicyExchange" else ""
@@ -565,11 +606,10 @@ class TNWebService:
 
     def _session(self, payload: dict) -> NegotiationSession:
         session_id = payload.get("negotiationId", "")
-        session = self._sessions.get(session_id)
+        session = self.session(session_id)
         if session is None:
-            session = self._read_back(session_id)
-            if session is None:
-                raise SessionError(f"unknown negotiation id {session_id!r}")
+            raise SessionError(f"unknown negotiation id {session_id!r}")
+        if session_id not in self._sessions:
             # contacted: resident again for another TTL
             self._sessions[session_id] = session
             self._track_opened(session)
@@ -608,31 +648,14 @@ class TNWebService:
             self.sessions_evicted += evicted
             obs_count("tn_service.sessions_evicted", evicted)
 
-    def _read_back(self, session_id: str) -> Optional[NegotiationSession]:
-        """An owned session that is not resident, from its last
-        checkpoint, or None.  A session checkpointed complete comes
-        back terminal, its result rebuilt from the checkpointed
-        outcome."""
-        if session_id in self._released:
-            return None
-        element = self.session_store.get(session_id)
-        if element is None:
-            return None
-        return self._from_journal(element)
-
-    def _from_journal(self, element: ET.Element) -> NegotiationSession:
-        session = self._session_from_xml(element, {})
-        if session.phase == "exchange":
-            session.result = self._degraded_result(session)
-        return session
-
     def session(self, session_id: str) -> Optional[NegotiationSession]:
         """The session ``session_id`` if this node owns it: the
-        resident object, or one read back from the journal."""
+        resident object, or one read back from its last checkpoint."""
         session = self._sessions.get(session_id)
-        if session is None:
-            session = self._read_back(session_id)
-        return session
+        if session is not None or session_id in self._released:
+            return session
+        element = self.session_store.get(session_id)
+        return None if element is None else self._rebuild(element)
 
     def session_ids(self) -> list[str]:
         """Ids of every session this node owns, resident or only
@@ -658,9 +681,7 @@ class TNWebService:
         if missing:
             checkpoints = self.session_store.latest()
             for session_id in missing:
-                owned[session_id] = self._from_journal(
-                    checkpoints[session_id]
-                )
+                owned[session_id] = self._rebuild(checkpoints[session_id])
         return owned
 
     def release_session(self, session_id: str) -> None:
@@ -771,36 +792,6 @@ class TNWebService:
         self._checkpoint(session)
         return {"negotiationId": session_id}
 
-    def _degraded_result(
-        self, session: NegotiationSession
-    ) -> Optional[NegotiationResult]:
-        """Rebuild an outcome from the checkpoint when the engine
-        cannot re-run (requester agent unavailable after a crash)."""
-        summary = session.checkpoint_outcome
-        if summary is None or session.resource is None:
-            return None
-        reason_text = summary["failure_reason"]
-        return NegotiationResult(
-            resource=session.resource,
-            requester=session.requester_name,
-            controller=self.owner.name,
-            success=summary["success"],
-            failure_reason=(
-                FailureReason(reason_text) if reason_text else None
-            ),
-            failure_detail=summary["failure_detail"],
-            transcript=(
-                TranscriptEvent(
-                    "setup", self.owner.name, "checkpoint-restore",
-                    session.session_id,
-                ),
-            ),
-            policy_messages=summary["policy_messages"],
-            exchange_messages=summary["exchange_messages"],
-            disclosed_by_requester=summary["disclosed_by_requester"],
-            disclosed_by_controller=summary["disclosed_by_controller"],
-        )
-
     def _run_engine(
         self, session: NegotiationSession, resource: str, at: Optional[datetime]
     ) -> NegotiationResult:
@@ -808,16 +799,8 @@ class TNWebService:
             return session.result
         requester = session.requester
         if requester is None:
-            # Restored after a crash and the requester agent is gone:
-            # degrade to the checkpointed outcome if one exists.
-            degraded = (
-                self._degraded_result(session)
-                if session.resource == resource
-                else None
-            )
-            if degraded is not None:
-                session.result = degraded
-                return degraded
+            # Rebuilt without its requester agent and without a
+            # checkpointed outcome for this resource to degrade to.
             raise SessionError(
                 f"cannot resume {session.session_id!r}: requester "
                 f"{session.requester_name!r} is unavailable and no "
@@ -987,6 +970,11 @@ class TNWebService:
                 signs=disclosures, verifies=2 * disclosures
             )
             session.exchange_phase_billed = True
+        return self._exchange_response(session)
+
+    @staticmethod
+    def _exchange_response(session: NegotiationSession) -> dict:
+        result = session.result
         return {
             "negotiationId": session.session_id,
             "success": result.success,

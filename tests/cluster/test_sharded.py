@@ -1,10 +1,14 @@
 """Sharded TN service: routing, failover, restart, and migration."""
 
+import copy
+
 import pytest
 
 from repro.cluster import ShardedTNService
-from repro.errors import ServiceError, SessionError
+from repro.errors import ServiceError, SessionError, TransportError
+from repro.hardening.config import HardeningConfig
 from repro.hardening.soak import check_service_invariants
+from repro.services import tn_service
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import TNWebService
 from repro.services.transport import SimTransport
@@ -423,23 +427,116 @@ class TestResidency:
 
     def test_invariant_catches_a_lost_evicted_session(self, cluster_fixture):
         """Terminal durability keeps its strength for sessions that
-        live only in the journal: a session that left memory after its
-        owner lost its records, while another shard still holds a
-        terminal checkpoint, is reported lost."""
+        live only in the journal: a finished session whose adopter lost
+        its record, while another shard still holds a terminal
+        checkpoint, is reported lost."""
         transport, cluster, requester, _ = cluster_fixture
         nid = complete(transport, requester, "req-1")
         owner = (cluster.placement_index(nid) + 1) % 3
         cluster.migrate_session(nid, owner)
         service = cluster.nodes()[owner].service
-        transport.clock.advance(service.session_ttl_ms)
-        assert cluster.reap_expired() == 1
-        # the owner loses both of its records (adoption, expiry), then
-        # the next terminal transition on it evicts the session
-        assert cluster.tear_wal(owner) and cluster.tear_wal(owner)
-        complete_on(transport, cluster, requester, owner)
+        # adopted finished: terminal, so only journalled, never resident
         assert nid not in service._sessions
+        # the owner loses its one record of the session, the adoption
+        assert cluster.tear_wal(owner)
         violations = []
         check_service_invariants(
             cluster, lambda *v: violations.append(v), cluster=cluster
         )
         assert [name for name, _ in violations] == ["terminal-durability"]
+
+
+def violations_of(cluster):
+    found = []
+    check_service_invariants(
+        cluster, lambda *v: found.append(v), cluster=cluster
+    )
+    return [name for name, _ in found]
+
+
+class TestFinishedSessionMoved:
+    """A finished session keeps its outcome when another shard adopts
+    it, and a retry of its final exchange is answered wherever it
+    lands inside the replay window."""
+
+    def test_migration_keeps_the_outcome_in_the_adopters_journal(
+        self, cluster_fixture
+    ):
+        transport, cluster, requester, _ = cluster_fixture
+        nid = complete(transport, requester, "req-1")
+        target = (cluster.placement_index(nid) + 1) % 3
+        session = cluster.migrate_session(nid, target)
+        assert session.terminal
+        adopted = cluster.nodes()[target].session_store.get(nid)
+        assert adopted.get("phase") == "exchange"
+        outcome = adopted.find("outcome")
+        assert outcome is not None
+        assert outcome.get("success") == "true"
+        assert cluster.sessions_in_flight == 0
+        assert violations_of(cluster) == []
+
+    @pytest.mark.parametrize(
+        "hardening", [None, HardeningConfig()],
+        ids=["unhardened", "hardened"],
+    )
+    def test_lost_final_response_is_answered_after_failover(
+        self, parties, monkeypatch, hardening
+    ):
+        requester, controller = parties
+        transport = SimTransport()
+        cluster = ShardedTNService(
+            controller, transport, url="urn:tn", shards=3,
+            agents={requester.name: requester}, hardening=hardening,
+        )
+        nid = start_and_policy(transport, requester)
+        home = cluster.nodes()[cluster.placement_index(nid)]
+        handle = home.service.handle
+        lost = []
+
+        class NoEngine:
+            def __init__(self, *args):
+                raise AssertionError("the engine re-ran for a replay")
+
+        def lose_final_response(operation, payload):
+            response = handle(operation, payload)
+            if operation != "CredentialExchange":
+                return response
+            lost.append(response)
+            # from here on, the answer must come from the checkpoint
+            monkeypatch.setattr(tn_service, "NegotiationEngine", NoEngine)
+            raise TransportError("response lost on the shard hop")
+
+        transport.unbind(home.url)
+        transport.bind(home.url, lose_final_response)
+        retry = transport.call("urn:tn", "CredentialExchange", {
+            "negotiationId": nid, "clientSeq": 2,
+        })
+        assert cluster.placement_index(nid) != home.index
+        (original,) = lost
+        assert retry["success"] is original["success"] is True
+        assert retry["failureReason"] == original["failureReason"]
+        for party in ("disclosed_by_requester", "disclosed_by_controller"):
+            assert getattr(retry["result"], party) == \
+                getattr(original["result"], party)
+        assert cluster.sessions_in_flight == 0
+        cluster.close()
+
+    def test_invariant_catches_a_completed_checkpoint_without_outcome(
+        self, cluster_fixture
+    ):
+        """A journal whose last intact completed checkpoint lacks its
+        outcome (as an adoption that dropped it would write) breaks
+        terminal durability, even though the session is terminal."""
+        transport, cluster, requester, _ = cluster_fixture
+        nid = complete(transport, requester, "req-1")
+        node = cluster.nodes()[cluster.placement_index(nid)]
+        complete_record = node.session_store.get(nid)
+        bare = copy.deepcopy(complete_record)
+        bare.remove(bare.find("outcome"))
+        node.session_store.append(nid, bare)
+        node.session_store.append(nid, complete_record)
+        assert violations_of(cluster) == []
+        # tear the outcome-bearing record: the bare one is now durable
+        assert cluster.tear_wal(node.index)
+        assert cluster.sessions()[nid].terminal
+        assert violations_of(cluster) == ["terminal-durability"]

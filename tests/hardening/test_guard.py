@@ -197,3 +197,72 @@ class TestSequenceMachine:
         session = _session(phase="expired")
         session.responses[1] = ("PolicyExchange", "R", {"x": 1})
         guard.check_transition(session, "PolicyExchange", 1, "R")
+
+
+class TestBoundaries:
+    """Each guard limit at exactly the limit (accepted) and one past it
+    (rejected with its own code and message)."""
+
+    def test_payload_keys_at_limit_and_one_past(self):
+        guard = ProtocolGuard(config=HardeningConfig(max_payload_keys=3))
+        payload = {"negotiationId": "tn-1", "clientSeq": 1, "at": None}
+        guard.validate("CredentialExchange", payload)
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("CredentialExchange", {**payload, "priority": None})
+        assert _code(excinfo) is ErrorCode.OVERSIZED_PAYLOAD
+        assert "4 keys (limit 3)" in str(excinfo.value)
+
+    def test_null_in_non_nullable_field(self, guard):
+        guard.validate("CredentialExchange", {
+            "negotiationId": "tn-1", "clientSeq": None,
+        })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("CredentialExchange", {"negotiationId": None})
+        assert _code(excinfo) is ErrorCode.SCHEMA_VIOLATION
+        assert "must not be null" in str(excinfo.value)
+
+    def test_unknown_strategy_with_a_valid_requester(
+        self, guard, agent_factory, shared_keypair
+    ):
+        requester = agent_factory("AerospaceCo", [], "", shared_keypair)
+        guard.validate("StartNegotiation", {
+            "requester": requester, "strategy": "standard",
+        })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("StartNegotiation", {
+                "requester": requester, "strategy": "yolo",
+            })
+        assert _code(excinfo) is ErrorCode.SCHEMA_VIOLATION
+        assert "is not a known strategy" in str(excinfo.value)
+
+    def test_skip_ahead_at_next_and_one_past(self, guard):
+        session = _session(phase="policy", last_seq=2)
+        guard.check_transition(session, "CredentialExchange", 3, "")
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.check_transition(session, "CredentialExchange", 4, "")
+        assert _code(excinfo) is ErrorCode.OUT_OF_ORDER
+        assert "skips ahead" in str(excinfo.value)
+
+    def test_stale_seq_at_last_seq_on_a_fresh_session(self, guard):
+        session = _session(phase="policy", last_seq=2)
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.check_transition(session, "CredentialExchange", 2, "")
+        assert _code(excinfo) is ErrorCode.OUT_OF_ORDER
+        assert "is stale" in str(excinfo.value)
+
+    def test_seq_at_last_seq_on_a_restored_session(self, guard):
+        # a restored live session has no recorded responses; the
+        # client's unacknowledged last call is resent, not stale
+        session = _session(phase="policy", last_seq=2, restored=True)
+        guard.check_transition(session, "CredentialExchange", 2, "")
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.check_transition(session, "CredentialExchange", 4, "")
+        assert _code(excinfo) is ErrorCode.OUT_OF_ORDER
+
+    def test_seq_at_last_seq_on_a_restored_finished_session(self, guard):
+        # terminal from its phase alone, result in memory or not
+        session = _session(phase="exchange", last_seq=2, restored=True)
+        assert session.terminal
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.check_transition(session, "CredentialExchange", 2, "")
+        assert _code(excinfo) is ErrorCode.POST_TERMINAL

@@ -302,9 +302,7 @@ class TestSessionSerialization:
         service = TNWebService(controller, transport, store, "urn:tn")
         nid = run_policy_phase(transport, requester)
         element = service.session_store.latest()[nid]
-        session = TNWebService._session_from_xml(
-            element, {requester.name: requester}
-        )
+        session = service._rebuild(element, {requester.name: requester})
         assert isinstance(session, NegotiationSession)
         assert session.session_id == nid
         assert session.requester is requester
@@ -313,8 +311,13 @@ class TestSessionSerialization:
         assert session.policy_phase_billed
         assert not session.exchange_phase_billed
         assert session.restored
-        assert session.checkpoint_outcome is not None
-        assert session.checkpoint_outcome["success"]
+        # the requester resolves: the engine re-runs, no stored result
+        assert session.result is None
+        # without it, the checkpointed outcome is the degraded result
+        degraded = service._rebuild(element).result
+        assert degraded is not None
+        assert degraded.success
+        assert degraded.requester == requester.name
 
 
 def complete(transport, requester, request_id):
@@ -432,3 +435,72 @@ class TestResidency:
         assert restored.sessions()[abandoned].phase == "expired"
         assert set(restored.sessions()) == {abandoned, live}
         assert service.session_store.records() == records
+
+
+class TestFinishedSessionRestored:
+    """A finished negotiation comes back terminal, with its outcome,
+    from a restore; a verbatim retry of its final exchange is answered
+    for one TTL after its last contact, and nothing else is."""
+
+    @pytest.fixture()
+    def restored(self, parties):
+        requester, controller = parties
+        transport = SimTransport()
+        service = TNWebService(
+            controller, transport, XMLDocumentStore("tn"), "urn:tn",
+            hardening=HardeningConfig(),
+        )
+        nid, final = complete(transport, requester, "req-1")
+        service.crash()
+        restored = TNWebService.restore(
+            controller, transport, XMLDocumentStore("tn2"), "urn:tn",
+            agents={requester.name: requester}, hardening=HardeningConfig(),
+            session_store=service.session_store,
+        )
+        return transport, restored, nid, final
+
+    def test_restored_finished_session_is_terminal(self, restored):
+        transport, service, nid, final = restored
+        session = service.session(nid)
+        assert session.terminal
+        assert service.sessions_in_flight == 0
+        assert nid not in service._sessions
+        assert session.result.success is final["success"] is True
+        assert session.result.disclosed_by_requester == \
+            final["result"].disclosed_by_requester
+
+    def test_new_client_seq_on_restored_finished_session_is_post_terminal(
+        self, restored
+    ):
+        transport, service, nid, _ = restored
+        with pytest.raises(GuardRejection) as excinfo:
+            transport.call("urn:tn", "CredentialExchange", {
+                "negotiationId": nid, "clientSeq": 3,
+            })
+        assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
+
+    def test_final_retry_after_restore_is_answered_inside_ttl(
+        self, restored
+    ):
+        transport, service, nid, final = restored
+        records = service.session_store.records()
+        retry = transport.call("urn:tn", "CredentialExchange", {
+            "negotiationId": nid, "clientSeq": 2,
+        })
+        assert retry["success"] is final["success"]
+        assert retry["failureReason"] == final["failureReason"]
+        assert retry["result"].disclosed_by_controller == \
+            final["result"].disclosed_by_controller
+        assert service.session_store.records() == records  # not re-run
+        assert service.sessions_in_flight == 0
+
+    def test_final_retry_after_restore_is_post_terminal_past_ttl(
+        self, restored
+    ):
+        transport, service, nid, _ = restored
+        transport.clock.advance(service.session_ttl_ms)
+        with pytest.raises(GuardRejection) as excinfo:
+            transport.call("urn:tn", "CredentialExchange", {
+                "negotiationId": nid, "clientSeq": 2,
+            })
+        assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
