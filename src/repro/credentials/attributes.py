@@ -28,7 +28,7 @@ _TYPE_TAGS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeValue:
     """A single named, typed attribute of a credential.
 

@@ -29,7 +29,7 @@ from repro.xmlutil.canonical import canonicalize, parse_xml
 __all__ = ["ValidityPeriod", "Credential"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidityPeriod:
     """Time window during which a credential is valid."""
 
@@ -52,7 +52,7 @@ class ValidityPeriod:
         return cls(start, start + timedelta(days=days))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     """A signed X-TNL attribute credential.
 

@@ -30,10 +30,9 @@ class HardeningConfig:
     guard_enabled: bool = True
     #: Maximum number of top-level keys in one payload mapping.
     max_payload_keys: int = 16
-    #: Maximum byte length of any single string field (UTF-8).
+    #: Maximum byte length of any single string field (UTF-8), an
+    #: embedded XML document included.
     max_string_bytes: int = 4096
-    #: Maximum byte length of an embedded XML document.
-    max_xml_bytes: int = 65_536
     #: Maximum element nesting depth of an embedded XML document.
     max_xml_depth: int = 32
     #: Maximum direct children of any one element.

@@ -69,7 +69,7 @@ def stateless_probes(
     """Probes needing no live session."""
     config = config or HardeningConfig()
     long_string = "x" * (config.max_string_bytes + 1)
-    big_xml = "<a>" + "y" * config.max_xml_bytes + "</a>"
+    big_xml = "<a>" + "y" * config.max_string_bytes + "</a>"
     many_keys = {f"k{i}": i for i in range(config.max_payload_keys + 1)}
     return [
         FuzzProbe(

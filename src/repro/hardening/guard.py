@@ -204,14 +204,8 @@ class ProtocolGuard:
             self._check_xml(operation, name, value)
 
     def _check_xml(self, operation: str, name: str, document: str) -> None:
-        """Structural validation of an embedded XML document."""
-        encoded = len(document.encode("utf-8"))
-        if encoded > self.config.max_xml_bytes:
-            raise self._reject(
-                ErrorCode.OVERSIZED_PAYLOAD,
-                f"{operation}.{name} XML document is {encoded} bytes "
-                f"(limit {self.config.max_xml_bytes})",
-            )
+        """Structural validation of an embedded XML document (its size
+        is the string's, already checked)."""
         try:
             root = parse_xml(document)
         except XMLError as exc:

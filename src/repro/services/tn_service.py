@@ -589,7 +589,22 @@ class TNWebService:
                     client_seq=seq,
                 )
             return response
-        was_terminal = session.terminal
+        if session.terminal:
+            # Hardened, the guard has already refused this.  Without
+            # it, a terminal session still never changes: a repeated
+            # final exchange is answered from the outcome (nothing
+            # runs, nothing is billed), and anything else is refused.
+            if (
+                operation == "CredentialExchange"
+                and session.phase == "exchange"
+                and session.result is not None
+            ):
+                return self._exchange_response(session)
+            raise ServiceError(
+                f"session {session.session_id!r} already terminated "
+                f"(phase {session.phase!r}); {operation} rejected",
+                error_code=ErrorCode.POST_TERMINAL,
+            )
         if operation == "PolicyExchange":
             response = self.policy_exchange(payload)
         else:
@@ -598,7 +613,7 @@ class TNWebService:
             session.responses[seq] = (operation, resource, response)
             session.last_seq = max(session.last_seq, seq)
         self._checkpoint(session)
-        if not was_terminal and session.terminal:
+        if session.terminal:
             self._track_terminal()
             self._terminal[session.session_id] = None
             self._evict_idle()
@@ -878,10 +893,7 @@ class TNWebService:
         ):
             obs_count("tn_service.operations.credential_exchange")
             if session.result is None:
-                if not (
-                    session.restored
-                    and session.phase in ("policy", "exchange")
-                ):
+                if not (session.restored and session.phase == "policy"):
                     raise ServiceError(
                         "CredentialExchange before PolicyExchange for "
                         f"{session.session_id!r}",

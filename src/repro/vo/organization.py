@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
+from repro.credentials.attributes import AttributeValue
+from repro.credentials.credential import Credential, ValidityPeriod
 from repro.credentials.x509 import VOMembershipToken
 from repro.errors import MembershipError
 from repro.negotiation.engine import negotiate
@@ -356,18 +358,22 @@ class VirtualOrganization:
         return "completed"
 
     def issue_participation_ticket(
-        self, member: VOMember, role_name: str, at: datetime
-    ):
+        self,
+        member: VOMember,
+        role_name: str,
+        validity: ValidityPeriod,
+        vo_name: AttributeValue,
+    ) -> Credential:
         """Issue the member a "VO Participation Ticket".
 
         The Identification-phase policies of future VOs can require
         "tickets attesting their participation to other VOs" (paper
         Section 5.1); the ticket records the VO, the role played, and
         the outcome derived from the member's final reputation and
-        violation record.
+        violation record.  ``validity`` and the ``voName`` attribute
+        are the same for every ticket of one dissolution, so the
+        tickets share them instead of each holding an equal copy.
         """
-        from repro.credentials.credential import Credential, ValidityPeriod
-
         ticket_body = Credential.build(
             cred_type="VO Participation Ticket",
             cred_id=(
@@ -377,15 +383,18 @@ class VirtualOrganization:
             issuer=self.initiator.name,
             subject=member.name,
             subject_key=member.agent.keypair.fingerprint,
-            validity=ValidityPeriod.starting(at, days=3650),
-            attributes={
-                "voName": self.contract.vo_name,
-                "role": role_name,
-                "outcome": self._participation_outcome(member.name),
-                "finalReputation": round(
-                    self.reputation.score(member.name), 3
+            validity=validity,
+            attributes=(
+                vo_name,
+                AttributeValue.of("role", role_name),
+                AttributeValue.of(
+                    "outcome", self._participation_outcome(member.name)
                 ),
-            },
+                AttributeValue.of(
+                    "finalReputation",
+                    round(self.reputation.score(member.name), 3),
+                ),
+            ),
         )
         ticket = ticket_body.with_signature(
             self.initiator.agent.keypair.private.sign_b64(
@@ -406,12 +415,16 @@ class VirtualOrganization:
         answered invitations go).  Returns the issued tickets.
         """
         self.lifecycle.require(VOPhase.OPERATION)
-        at = at or self.contract.created_at
-        tickets = []
-        for role_name, member in self._members.items():
-            tickets.append(
-                self.issue_participation_ticket(member, role_name, at)
+        validity = ValidityPeriod.starting(
+            at or self.contract.created_at, days=3650
+        )
+        vo_name = AttributeValue.of("voName", self.contract.vo_name)
+        tickets = [
+            self.issue_participation_ticket(
+                member, role_name, validity, vo_name
             )
+            for role_name, member in self._members.items()
+        ]
         for token in self._tokens.values():
             self._revoked_serials.add(token.certificate.serial)
         for member in self._members.values():

@@ -14,7 +14,6 @@ def guard():
     return ProtocolGuard(config=HardeningConfig(
         max_payload_keys=8,
         max_string_bytes=64,
-        max_xml_bytes=256,
         max_xml_depth=4,
         max_xml_children=4,
         max_client_seq=100,
@@ -242,6 +241,79 @@ class TestBoundaries:
             guard.check_transition(session, "CredentialExchange", 4, "")
         assert _code(excinfo) is ErrorCode.OUT_OF_ORDER
         assert "skips ahead" in str(excinfo.value)
+
+    def test_string_bytes_at_limit_and_one_past(self, guard):
+        # bytes, not characters: "é" is two UTF-8 bytes, so one past
+        # the byte limit is still at the limit in characters
+        limit = guard.config.max_string_bytes
+        at_limit = "é" + "x" * (limit - 2)
+        assert len(at_limit.encode("utf-8")) == limit
+        guard.validate("PolicyExchange", {
+            "negotiationId": "tn-1", "resource": at_limit,
+        })
+        one_past = at_limit + "x"
+        assert len(one_past) == limit
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("PolicyExchange", {
+                "negotiationId": "tn-1", "resource": one_past,
+            })
+        assert _code(excinfo) is ErrorCode.OVERSIZED_PAYLOAD
+        assert f"is {limit + 1} bytes (limit {limit})" in str(excinfo.value)
+
+    def test_oversized_xml_is_caught_by_the_string_limit(self, guard):
+        limit = guard.config.max_string_bytes
+        document = "<a>" + "y" * (limit - 7) + "</a>"
+        assert len(document) == limit
+        guard.validate("PolicyExchange", {
+            "negotiationId": "tn-1", "resource": document,
+        })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("PolicyExchange", {
+                "negotiationId": "tn-1", "resource": " " + document,
+            })
+        assert _code(excinfo) is ErrorCode.OVERSIZED_PAYLOAD
+
+    def test_well_formed_xml_field_is_accepted(self, guard):
+        guard.validate("PolicyExchange", {
+            "negotiationId": "tn-1",
+            "resource": '<credential type="x"><a>v</a><b/></credential>',
+        })
+        assert guard.stats.validated == 1
+        assert guard.stats.rejected == 0
+
+    def test_xml_depth_at_limit_and_one_past(self, guard):
+        def nested(depth: int) -> str:
+            return "<a>" * depth + "x" + "</a>" * depth
+
+        limit = guard.config.max_xml_depth
+        guard.validate("PolicyExchange", {
+            "negotiationId": "tn-1", "resource": nested(limit),
+        })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("PolicyExchange", {
+                "negotiationId": "tn-1", "resource": nested(limit + 1),
+            })
+        assert _code(excinfo) is ErrorCode.DEPTH_EXCEEDED
+        assert f"deeper than {limit} levels" in str(excinfo.value)
+
+    def test_xml_children_at_limit_and_one_past(self, guard):
+        def wide(children: int) -> str:
+            # the children sit one level down, so a check on the root
+            # alone would not see them
+            return "<r><a>" + "<b/>" * children + "</a></r>"
+
+        limit = guard.config.max_xml_children
+        guard.validate("PolicyExchange", {
+            "negotiationId": "tn-1", "resource": wide(limit),
+        })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("PolicyExchange", {
+                "negotiationId": "tn-1", "resource": wide(limit + 1),
+            })
+        assert _code(excinfo) is ErrorCode.DEPTH_EXCEEDED
+        assert f"has {limit + 1} children (limit {limit})" in str(
+            excinfo.value
+        )
 
     def test_stale_seq_at_last_seq_on_a_fresh_session(self, guard):
         session = _session(phase="policy", last_seq=2)

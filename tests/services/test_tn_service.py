@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.errors import ServiceError, SessionError
+from repro.errors import ErrorCode, ServiceError, SessionError
 from repro.negotiation.outcomes import (
     FailureReason,
     UNSATISFIABLE_REASONS,
 )
 from repro.negotiation.strategies import Strategy
+from repro.scenario.workloads import formation_workload
 from repro.services.tn_client import TNClient
 from repro.services.tn_service import TNWebService
 from repro.services.transport import SimTransport
@@ -185,6 +186,96 @@ class TestPhases:
             transport.call("urn:tn", "CredentialExchange", {
                 "negotiationId": start["negotiationId"], "clientSeq": 1,
             })
+
+
+class TestTerminalStaysTerminal:
+    """Without hardening there is no guard to answer ``POST_TERMINAL``;
+    the service itself must keep a finished or expired negotiation
+    terminal."""
+
+    @staticmethod
+    def _policy_phase(transport, requester) -> str:
+        start = transport.call("urn:tn", "StartNegotiation",
+                               {"requester": requester, "strategy": "standard"})
+        transport.call("urn:tn", "PolicyExchange", {
+            "negotiationId": start["negotiationId"],
+            "resource": "VoMembership", "at": NEGOTIATION_AT,
+            "clientSeq": 1,
+        })
+        return start["negotiationId"]
+
+    def test_policy_exchange_after_completion_is_refused(
+        self, service, parties
+    ):
+        svc, transport = service
+        requester, _ = parties
+        nid = self._policy_phase(transport, requester)
+        transport.call("urn:tn", "CredentialExchange",
+                       {"negotiationId": nid, "clientSeq": 2})
+        session = svc.session(nid)
+        assert (session.phase, session.terminal) == ("exchange", True)
+        assert svc.sessions_in_flight == 0
+        with pytest.raises(ServiceError) as excinfo:
+            transport.call("urn:tn", "PolicyExchange", {
+                "negotiationId": nid, "resource": "VoMembership",
+                "at": NEGOTIATION_AT, "clientSeq": 3,
+            })
+        assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
+        assert (session.phase, session.terminal) == ("exchange", True)
+        assert session.result.success
+        assert svc.sessions_in_flight == 0
+
+    def test_formation_session_stays_terminal(self):
+        fixture = formation_workload(2)
+        fixture.initiator_edition.create_vo(fixture.contract)
+        svc = fixture.initiator_edition.enable_trust_negotiation()
+        try:
+            outcome = fixture.initiator_edition.execute_formation(
+                fixture.plans(), at=fixture.contract.created_at
+            )
+            assert len(outcome.joined) == 2
+            assert svc.hardening is None
+            nid, session = next(iter(svc.sessions().items()))
+            assert session.terminal and svc.sessions_in_flight == 0
+            with pytest.raises(ServiceError) as excinfo:
+                svc.handle("PolicyExchange", {
+                    "negotiationId": nid, "resource": session.resource,
+                    "clientSeq": session.last_seq + 1,
+                })
+            assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
+            session = svc.session(nid)
+            assert (session.phase, session.terminal) == ("exchange", True)
+            assert svc.sessions_in_flight == 0
+        finally:
+            svc.close()
+
+    def test_expired_session_cannot_complete(self, service, parties):
+        svc, transport = service
+        requester, _ = parties
+        nid = self._policy_phase(transport, requester)
+        assert svc.reap_expired(older_than_ms=0) == 1
+        with pytest.raises(ServiceError) as excinfo:
+            transport.call("urn:tn", "CredentialExchange",
+                           {"negotiationId": nid, "clientSeq": 2})
+        assert excinfo.value.error_code is ErrorCode.POST_TERMINAL
+        assert svc.session(nid).phase == "expired"
+        assert svc.sessions_in_flight == 0
+
+    def test_repeated_final_exchange_is_answered_from_the_outcome(
+        self, service, parties
+    ):
+        svc, transport = service
+        requester, _ = parties
+        nid = self._policy_phase(transport, requester)
+        first = transport.call("urn:tn", "CredentialExchange",
+                               {"negotiationId": nid, "clientSeq": 2})
+        charges = transport.charges.db_reads, transport.charges.crypto_verifies
+        again = transport.call("urn:tn", "CredentialExchange",
+                               {"negotiationId": nid, "clientSeq": 3})
+        assert again["result"] is first["result"]
+        after = transport.charges.db_reads, transport.charges.crypto_verifies
+        assert after == charges
+        assert svc.session(nid).phase == "exchange"
 
 
 class TestClient:

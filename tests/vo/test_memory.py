@@ -5,8 +5,9 @@ After dissolution a member keeps only its participation tickets
 invitations go, and no process-wide cache holds the credentials signed
 during formation.  The ceiling is per identify/form/operate/dissolve
 cycle, so it is independent of how many cycles the test runs; the
-tickets themselves (about 9.5 kB per 8-member cycle) are what it
-leaves room for.
+tickets themselves (about 6.5 kB per 8-member cycle: slotted records,
+and one validity window and ``voName`` attribute shared by the tickets
+of a dissolution) are what it leaves room for.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ ROLES = 8
 WARMUP_CYCLES = 3
 MEASURED_CYCLES = 20
 #: Retained-bytes ceiling per cycle.
-MAX_RETAINED_BYTES_PER_CYCLE = 12_288
+MAX_RETAINED_BYTES_PER_CYCLE = 7_168
 
 
 def test_vo_lifecycle_retained_bytes_per_cycle():
