@@ -41,9 +41,9 @@ machinery:
   commit survives the race;
 - a client *retry* of a hedged start would route by hash back to the
   losing shard and mint a fresh duplicate, so the router's bounded
-  start-replay map (:data:`_START_REPLAY_DEPTH`) answers retries from
-  the winning response and rejects tampered reuse of the token with
-  ``REPLAY_MISMATCH``.
+  start-replay map (:data:`_START_REPLAY_DEPTH`) answers retries with
+  the winning negotiation id and rejects tampered reuse of the token
+  with ``REPLAY_MISMATCH``.
 
 Only ``StartNegotiation`` is hedged.  Phase operations mutate pinned
 session state; racing them against a copy of the session on another
@@ -60,11 +60,12 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 from xml.etree import ElementTree as ET
 
 from repro.cluster.health import HealthPolicy, HealthTracker
 from repro.cluster.ring import HashRing
+from repro.crypto.digest import sha256
 from repro.errors import (
     ErrorCode,
     OverloadError,
@@ -99,14 +100,30 @@ __all__ = ["HedgePolicy", "HedgeStats", "ShardedTNService", "ShardNode"]
 #: Route-by-hash is not stable across a negotiation's lifetime — a
 #: shard can die, get ejected by the health tracker, or lose a hedge
 #: race and release its freshly-minted session — so a *retry* of a
-#: remembered ``StartNegotiation`` token is answered here, from the
-#: response that actually won, instead of being re-routed to a shard
-#: that may no longer hold the dedup entry (which would mint a
-#: duplicate session, or accept a tampered reuse of the token).
+#: remembered ``StartNegotiation`` token is answered here, with the
+#: negotiation id that actually won, instead of being re-routed to a
+#: shard that may no longer hold the dedup entry (which would mint a
+#: duplicate session, or accept a tampered reuse of the token).  The
+#: oldest token leaves first; its retries then go to the shard again.
 _START_REPLAY_DEPTH = 1024
 
 #: Recent successful start latencies kept for the adaptive hedge delay.
 _HEDGE_SAMPLE_DEPTH = 128
+
+
+class _StartRecord(NamedTuple):
+    """What the router keeps of one remembered ``StartNegotiation``.
+
+    ``fingerprint`` is the digest of every payload field except the
+    requester (:meth:`ShardedTNService._start_fingerprint`).  A start
+    response carries only the negotiation id, so a faithful retry is
+    answered with a fresh response built from ``negotiation_id``.
+    """
+
+    requester: Optional[str]
+    strategy: Strategy
+    fingerprint: bytes
+    negotiation_id: str
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -255,7 +272,7 @@ class ShardedTNService:
         #: negotiationId -> shard, for moved sessions only; every other
         #: session lives on the shard its id prefix names.
         self._placements: dict[str, int] = {}
-        self._start_replays: dict[str, dict] = {}  # requestId -> start
+        self._start_replays: dict[str, _StartRecord] = {}  # by requestId
         #: Starts answered from the router's replay map.
         self.start_replays = 0
         self._nodes: list[ShardNode] = []
@@ -453,7 +470,9 @@ class ShardedTNService:
             else:
                 response, _ = self._forward(node, operation, payload)
             if isinstance(response, dict) and response.get("negotiationId"):
-                self._remember_start(request_key, payload, response)
+                self._remember_start(
+                    request_key, payload, response["negotiationId"]
+                )
             return response
         negotiation_id = ""
         if isinstance(payload, dict):
@@ -508,72 +527,67 @@ class ShardedTNService:
         )
 
     @staticmethod
-    def _start_fingerprint(payload: dict) -> tuple:
-        """Order-insensitive scalar fingerprint of a start payload.
+    def _start_fingerprint(payload: dict) -> bytes:
+        """Order-insensitive digest of a start payload's fields.
 
         The requester agent reference is matched by name (object
         identity would reject a faithful retry built from a restored
-        agent); every other field must repeat verbatim."""
-        return tuple(
+        agent); every other field must repeat verbatim, so the digest
+        covers each one's name and ``repr``."""
+        fields = tuple(
             (name, repr(payload[name]))
             for name in sorted(payload)
             if name != "requester"
         )
+        return sha256(repr(fields).encode("utf-8")).digest()
 
     def _remember_start(self, key: str, payload: dict,
-                        response: dict) -> None:
+                        negotiation_id: str) -> None:
         """Record a successful tokened ``StartNegotiation`` so retries
         of the token are answered consistently even after route-by-hash
         has shifted (see :data:`_START_REPLAY_DEPTH`)."""
-        if not key or not isinstance(response, dict):
+        if not key:
             return
         if len(self._start_replays) >= _START_REPLAY_DEPTH:
             self._start_replays.pop(next(iter(self._start_replays)))
-        requester = payload.get("requester")
-        self._start_replays[key] = {
-            "requester": getattr(requester, "name", None),
-            "strategy": Strategy.parse(payload.get("strategy", "standard")),
-            "fingerprint": self._start_fingerprint(payload),
-            "response": response,
-        }
+        self._start_replays[key] = _StartRecord(
+            getattr(payload.get("requester"), "name", None),
+            Strategy.parse(payload.get("strategy", "standard")),
+            self._start_fingerprint(payload),
+            negotiation_id,
+        )
 
     def _replayed_start(self, key: str,
                         payload: dict) -> Optional[dict]:
         """Answer a retried start token, policing reuse.
 
-        Returns the recorded response for a faithful retry, ``None``
-        for an unknown token, and rejects the same token arriving with
-        a different requester or strategy exactly like the shard's own
-        dedup would (``REPLAY_MISMATCH``) — the token's original shard
-        may have lost the entry to a hedge cancellation, an ejection,
-        or a failover, so the router must police it."""
-        entry = self._start_replays.get(key) if key else None
-        if entry is None:
+        Returns the recorded negotiation id for a faithful retry,
+        ``None`` for an unknown token, and rejects the same token
+        arriving with a different requester, strategy or any other
+        field exactly like the shard's own dedup would
+        (``REPLAY_MISMATCH``) — the token's original shard may have
+        lost the entry to a hedge cancellation, an ejection, or a
+        failover, so the router must police it.  ``key`` is empty
+        unless ``payload`` is a dict."""
+        record = self._start_replays.get(key) if key else None
+        if record is None:
             return None
-        requester = (
-            payload.get("requester") if isinstance(payload, dict) else None
-        )
-        strategy = Strategy.parse(
-            payload.get("strategy", "standard")
-            if isinstance(payload, dict) else "standard"
-        )
+        strategy = Strategy.parse(payload.get("strategy", "standard"))
         if (
-            getattr(requester, "name", None) != entry["requester"]
-            or strategy is not entry["strategy"]
-            or (
-                isinstance(payload, dict)
-                and self._start_fingerprint(payload) != entry["fingerprint"]
-            )
+            getattr(payload.get("requester"), "name", None)
+            != record.requester
+            or strategy is not record.strategy
+            or self._start_fingerprint(payload) != record.fingerprint
         ):
             raise ServiceError(
                 f"requestId {key!r} was already used by requester "
-                f"{entry['requester']!r} with strategy "
-                f"{entry['strategy'].value!r}; a retry must repeat the "
+                f"{record.requester!r} with strategy "
+                f"{record.strategy.value!r}; a retry must repeat the "
                 "original payload",
                 error_code=ErrorCode.REPLAY_MISMATCH,
             )
         self.start_replays += 1
-        return dict(entry["response"])
+        return {"negotiationId": record.negotiation_id}
 
     def _node_for_key(self, key: str) -> ShardNode:
         try:
@@ -694,6 +708,15 @@ class ShardedTNService:
             primary, current, payload
         )
         primary_ms = primary_end - t0
+        if (
+            isinstance(primary_error, ServiceError)
+            and primary_error.error_code is ErrorCode.REPLAY_MISMATCH
+        ):
+            # The primary's dedup refused a reuse of its token, and that
+            # is the answer: a backup that never saw the token would
+            # mint a session for the tampered payload.
+            current.advance(primary_ms)
+            raise primary_error
         if primary_error is None and primary_ms <= delay:
             # The primary answered before the hedge would have fired.
             current.advance(primary_ms)

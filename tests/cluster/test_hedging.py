@@ -8,10 +8,14 @@ hedging therefore works from every entry point — plain sync
 safety half of that bargain — the loser's session is cancelled, a
 client retry is answered from the router's start-replay map instead
 of minting a duplicate, and tampered reuse of the idempotency token
-is rejected.
+is rejected.  The map itself is bounded and compact: once it has
+evicted a token, the token's shard answers its retries, and it keeps
+one small record per token, not the response it handed out.
 """
 
 import asyncio
+import gc
+import tracemalloc
 
 import pytest
 
@@ -68,9 +72,10 @@ def start_payload(requester, request_id):
     }
 
 
-def do_start(transport, requester, request_id):
+def do_start(transport, requester, request_id, **fields):
     return transport.call(
-        "urn:tn", "StartNegotiation", start_payload(requester, request_id)
+        "urn:tn", "StartNegotiation",
+        {**start_payload(requester, request_id), **fields},
     )
 
 
@@ -214,6 +219,97 @@ class TestHedgedStart:
         # exactly one session end-to-end even if the start was hedged
         assert len(cluster.sessions()) == 1
         cluster.close()
+
+
+class TestStartReplayMap:
+    #: Map depth for the eviction tests.
+    DEPTH = 4
+    #: Map depth for the footprint test, and its ceiling per record.
+    MEASURED_DEPTH = 256
+    MAX_BYTES_PER_RECORD = 256
+
+    def test_evicted_token_is_answered_by_its_shard(
+        self, parties, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.cluster.sharded._START_REPLAY_DEPTH", self.DEPTH
+        )
+        transport, cluster, requester = make_cluster(parties)
+        first = do_start(transport, requester, "evict-0")
+        for index in range(1, self.DEPTH + 1):
+            do_start(transport, requester, f"evict-{index}")
+        assert "evict-0" not in cluster._start_replays
+        assert len(cluster._start_replays) == self.DEPTH
+        # the router no longer knows the token: the shard's own dedup
+        # still rejects a tampered reuse of it ...
+        tampered = start_payload(requester, "evict-0")
+        tampered["strategy"] = "suspicious"
+        with pytest.raises(ServiceError) as excinfo:
+            transport.call("urn:tn", "StartNegotiation", tampered)
+        assert excinfo.value.error_code is ErrorCode.REPLAY_MISMATCH
+        # ... and answers a faithful retry with the same session
+        retry = do_start(transport, requester, "evict-0")
+        assert retry == first
+        assert cluster.start_replays == 0
+        assert len(cluster.sessions()) == self.DEPTH + 1
+        cluster.close()
+
+    @pytest.mark.parametrize(
+        "changed",
+        [{"deadlineMs": 5001.0}, {"deadlineMs": 5000.0, "resource": "R"}],
+        ids=["changed-deadline", "added-field"],
+    )
+    def test_changed_retry_rejected(self, parties, changed):
+        transport, cluster, requester = make_cluster(parties)
+        do_start(transport, requester, "change-1", deadlineMs=5000.0)
+        with pytest.raises(ServiceError) as excinfo:
+            do_start(transport, requester, "change-1", **changed)
+        assert excinfo.value.error_code is ErrorCode.REPLAY_MISMATCH
+        assert cluster.start_replays == 0
+        cluster.close()
+
+    def test_retry_answer_is_independent_of_first_response(self, parties):
+        transport, cluster, requester = make_cluster(parties)
+        first = do_start(transport, requester, "alias-1")
+        original = dict(first)
+        first["negotiationId"] = "forged"
+        first["extra"] = True
+        retry = do_start(transport, requester, "alias-1")
+        assert retry == original
+        assert cluster.start_replays == 1
+        cluster.close()
+
+    def test_full_map_costs_at_most_256_bytes_per_record(
+        self, parties, monkeypatch
+    ):
+        """The bytes the map frees when cleared, per record, after
+        turning over once.  The keys and negotiation ids are shared
+        with the shards' own maps, so they stay."""
+        depth = self.MEASURED_DEPTH
+        monkeypatch.setattr("repro.cluster.sharded._START_REPLAY_DEPTH", depth)
+        transport, cluster, requester = make_cluster(parties)
+        tracemalloc.start()
+        try:
+            for index in range(depth + depth // 2):
+                do_start(
+                    transport, requester, f"{requester.name}:R:req-{index}",
+                    counterpartUrl=f"urn:repro:{requester.name}",
+                    deadlineMs=60_000.0 + index,
+                )
+            assert len(cluster._start_replays) == depth
+            gc.collect()
+            full, _ = tracemalloc.get_traced_memory()
+            cluster._start_replays.clear()
+            gc.collect()
+            empty, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            cluster.close()
+        per_record = (full - empty) / depth
+        assert per_record <= self.MAX_BYTES_PER_RECORD, (
+            f"{per_record:.0f} B per start record "
+            f"(ceiling {self.MAX_BYTES_PER_RECORD})"
+        )
 
 
 class TestHedgeFromSyncClient:

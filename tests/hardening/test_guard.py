@@ -242,6 +242,19 @@ class TestBoundaries:
         assert _code(excinfo) is ErrorCode.OUT_OF_ORDER
         assert "skips ahead" in str(excinfo.value)
 
+    def test_client_seq_at_both_ends_and_one_past(self, guard):
+        limit = guard.config.max_client_seq
+        for seq in (1, limit):
+            guard.validate("CredentialExchange", {
+                "negotiationId": "tn-1", "clientSeq": seq,
+            })
+        with pytest.raises(GuardRejection) as excinfo:
+            guard.validate("CredentialExchange", {
+                "negotiationId": "tn-1", "clientSeq": limit + 1,
+            })
+        assert _code(excinfo) is ErrorCode.SCHEMA_VIOLATION
+        assert f"{limit + 1} is outside [1, {limit}]" in str(excinfo.value)
+
     def test_string_bytes_at_limit_and_one_past(self, guard):
         # bytes, not characters: "é" is two UTF-8 bytes, so one past
         # the byte limit is still at the limit in characters

@@ -149,6 +149,57 @@ class TestCompliance:
         assert len(issuers) == 2
 
 
+class TestCombinationBudget:
+    """The group search examines at most
+    ``ComplianceChecker.MAX_GROUP_COMBINATIONS`` (512) combinations, in
+    preference order.  ``A`` credential ``i`` has rank ``16 * i`` and
+    ``B`` credential ``j`` has rank ``j``, so ``sum(rank) = k`` holds
+    only for combination ``k + 1``, ``(A[k // 16], B[k % 16])``."""
+
+    @pytest.fixture(scope="class")
+    def profile(self, infn, shared_keypair):
+        fp = shared_keypair.fingerprint
+        return XProfile.of("Owner", [
+            *(infn.issue("A", "Owner", fp, {"rank": 16 * i}, ISSUE_AT)
+              for i in range(33)),
+            *(infn.issue("B", "Owner", fp, {"rank": j}, ISSUE_AT)
+              for j in range(16)),
+        ])
+
+    @staticmethod
+    def combination(rank_sum):
+        return parse_policy(f"Pool <- A, B | group(sum(rank)={rank_sum})")
+
+    def test_budget_is_512(self):
+        assert ComplianceChecker.MAX_GROUP_COMBINATIONS == 512
+
+    def test_last_combination_within_budget_is_found(self, profile):
+        satisfaction = ComplianceChecker().satisfy(
+            self.combination(511), profile
+        )
+        assert satisfaction is not None
+        assert [c.value("rank") for c in satisfaction.credentials()] == [
+            496, 15,
+        ]
+
+    def test_first_combination_past_budget_is_not(self, profile):
+        assert ComplianceChecker().satisfy(
+            self.combination(512), profile
+        ) is None
+
+    def test_past_budget_is_found_with_a_larger_budget(
+        self, profile, monkeypatch
+    ):
+        monkeypatch.setattr(ComplianceChecker, "MAX_GROUP_COMBINATIONS", 513)
+        satisfaction = ComplianceChecker().satisfy(
+            self.combination(512), profile
+        )
+        assert satisfaction is not None
+        assert [c.value("rank") for c in satisfaction.credentials()] == [
+            512, 0,
+        ]
+
+
 class TestEngineEnforcement:
     def test_group_violation_fails_exchange(self, agent_factory, infn,
                                             shared_keypair, other_keypair):
